@@ -3,8 +3,6 @@ density-ratio covariate weights, and discriminative source/target weights."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import DISCRETE, TabularDataset
@@ -15,21 +13,6 @@ from .weights import KernelWeight, ModelRatioWeight, TableWeight
 
 CONDITION_LIMIT = 1e12
 EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class BbseFit:
-    confusion: np.ndarray  # [predicted, true] joint source mass
-    target_pred_marginal: np.ndarray
-    class_weights: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.confusion, dtype=float)
-        if (c < 0).any() or abs(c.sum() - 1.0) > 1e-9:
-            raise ValidationError("confusion entries must be a joint pmf")
-        mu = np.asarray(self.target_pred_marginal, dtype=float)
-        if (mu < 0).any() or abs(mu.sum() - 1.0) > 1e-9:
-            raise ValidationError("target prediction marginal must be on the simplex")
 
 
 def _bbse_solve(confusion: np.ndarray, mu: np.ndarray, label_marg: np.ndarray):
@@ -67,9 +50,7 @@ def run_bbse(source: TabularDataset, target: TabularDataset,
     mu = estimate_pmf(target, (PREDICTION,), alpha=alpha).mass
     label_marg = estimate_pmf(source, (LABEL,)).mass
     w, cond = _bbse_solve(confusion, mu, label_marg)
-    fit = BbseFit(confusion=confusion, target_pred_marginal=mu, class_weights=w)
-    diag = {"condition_number": cond, "min_class_weight": float(w.min())}
-    return _bbse_weight(fit.class_weights), diag
+    return _bbse_weight(w), {"condition_number": cond, "min_class_weight": float(w.min())}
 
 
 def run_bbse_population(source_joint: EmpiricalPmf,

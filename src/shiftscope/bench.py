@@ -8,6 +8,7 @@ method) with the per-run metrics; averaging is left to the consumer.
 from __future__ import annotations
 
 import csv
+import os
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
@@ -15,7 +16,7 @@ from .baselines import run_bbse, run_dlu, run_kliep
 from .estimator import estimate_gap, score_gap, score_weights, select_features, source_accuracy
 from .predictor import train_logistic
 from .sees_c import SeesCConfig, default_basis, run_sees_c
-from .sees_d import SeesDConfig, run_sees_d, thread_cap
+from .sees_d import SeesDConfig, run_sees_d
 from .synth import (
     binary_base,
     boosted_marginal,
@@ -36,6 +37,17 @@ LABEL_AMP = 1.8
 COVARIATE_TWO_MASS = 0.78
 
 _BASE_SEED = 20_220_516
+
+
+def thread_cap() -> int:
+    """Worker threads for the suite pool: ``SHIFTSCOPE_THREADS`` if a
+    positive integer, else the CPU count."""
+    raw = os.environ.get("SHIFTSCOPE_THREADS", "")
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    return cap if cap > 0 else (os.cpu_count() or 1)
 
 
 def evaluate_method(method: str, source, target, truth, sparsity: int,
@@ -134,7 +146,7 @@ def _suite_cells(suite: str, seeds: int):
                 else:
                     yield (
                         str(true_s), seed,
-                        lambda seed=seed, shifted=shifted: joint_trial(
+                        lambda seed=seed, shifted=shifted, true_s=true_s: joint_trial(
                             base, model, shifted, 10000, seed,
                             amp=MULTI_AMPS[:true_s]
                         ),

@@ -38,7 +38,7 @@ from .estimator import (
 )
 from .predictor import load_predictions, predict, train_logistic
 from .sees_c import SeesCConfig, default_basis, run_sees_c
-from .sees_d import SeesDConfig, run_sees_d, thread_cap
+from .sees_d import SeesDConfig, run_sees_d
 from .synth import ShiftSpec, apply_shift, empirical_marginal
 from .tabulate import apply_discretizer, fit_discretizer
 from .weights import TableWeight
@@ -58,7 +58,6 @@ class RunConfig:
     bins: int = 5
     weight_bound: float = 20.0
     kliep_iters: int = 2500
-    seed: int = 0
     predictions_path: str | None = None
     truth_path: str | None = None
 
@@ -168,11 +167,7 @@ def _run_one_method(method: str, cfg: RunConfig, raw_pair, disc_pair, truth):
     source_raw, target_raw = raw_pair
     source, target = disc_pair
     if method == "sees-d":
-        dcfg = SeesDConfig(
-            sparsity=cfg.sparsity,
-            weight_bound=cfg.weight_bound,
-            parallel=thread_cap() > 1,
-        )
+        dcfg = SeesDConfig(sparsity=cfg.sparsity, weight_bound=cfg.weight_bound)
         weight, selected, diag = run_sees_d(source, target, dcfg)
         eval_ds = source
     elif method == "sees-c":
@@ -305,7 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--bins", type=int, default=5)
     est.add_argument("--weight-bound", type=float, default=20.0)
     est.add_argument("--kliep-iters", type=int, default=2500)
-    est.add_argument("--seed", type=int, default=0)
     est.add_argument("--predictions-path", default=None,
                      help="external predictions: SOURCE_CSV,TARGET_CSV")
     est.add_argument("--truth-path", default=None,
@@ -342,7 +336,6 @@ def main(argv=None) -> int:
                 bins=args.bins,
                 weight_bound=args.weight_bound,
                 kliep_iters=args.kliep_iters,
-                seed=args.seed,
                 predictions_path=args.predictions_path,
                 truth_path=args.truth_path,
             )

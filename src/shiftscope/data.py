@@ -216,20 +216,26 @@ def validate_dataset(ds: TabularDataset) -> list[str]:
     return findings
 
 
-def align_schemas(source: TabularDataset, target: TabularDataset) -> None:
-    """Raise SchemaMismatch naming the first differing column, else return."""
-    a, b = source.schema, target.schema
+def check_columns(a: FeatureSchema, b: FeatureSchema, a_name: str, b_name: str) -> None:
+    """Raise SchemaMismatch naming the first column where ``a`` and ``b``
+    differ in name, kind or cardinality, else return."""
     for i in range(max(a.d, b.d)):
         if i >= b.d:
-            raise SchemaMismatch(f"target missing column {i + 1} ({a.columns[i].name!r})")
+            raise SchemaMismatch(f"{b_name} missing column {i + 1} ({a.columns[i].name!r})")
         if i >= a.d:
-            raise SchemaMismatch(f"source missing column {i + 1} ({b.columns[i].name!r})")
+            raise SchemaMismatch(f"{a_name} missing column {i + 1} ({b.columns[i].name!r})")
         ca, cb = a.columns[i], b.columns[i]
         if (ca.name, ca.kind, ca.cardinality) != (cb.name, cb.kind, cb.cardinality):
             raise SchemaMismatch(
-                f"column {i + 1}: source {ca.name!r}/{ca.kind}/{ca.cardinality} "
-                f"!= target {cb.name!r}/{cb.kind}/{cb.cardinality}"
+                f"column {i + 1}: {a_name} {ca.name!r}/{ca.kind}/{ca.cardinality} "
+                f"!= {b_name} {cb.name!r}/{cb.kind}/{cb.cardinality}"
             )
+
+
+def align_schemas(source: TabularDataset, target: TabularDataset) -> None:
+    """Raise SchemaMismatch naming the first differing column, else return."""
+    a, b = source.schema, target.schema
+    check_columns(a, b, "source", "target")
     if a.label_cardinality != b.label_cardinality:
         raise SchemaMismatch(
             f"label cardinality {a.label_cardinality} != {b.label_cardinality}"

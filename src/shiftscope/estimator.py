@@ -11,8 +11,6 @@ from .data import TabularDataset
 from .errors import MissingTruth, ValidationError
 from .weights import BasisWeight, TableWeight, WeightFunction
 
-LOSSES = ("zero_one",)
-
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -34,15 +32,12 @@ def source_accuracy(ds: TabularDataset) -> float:
     return float(np.mean(ds.predictions == ds.labels))
 
 
-def estimate_gap(source: TabularDataset, w: WeightFunction,
-                 loss: str = "zero_one") -> float:
+def estimate_gap(source: TabularDataset, w: WeightFunction) -> float:
     """Estimated accuracy change, positive when target accuracy is higher.
 
     Reweights the per-row correctness indicator: mean of
     ``(w(x_i, y_i) - 1) * 1{f(x_i) = y_i}`` over the labeled source.
     """
-    if loss not in LOSSES:
-        raise ValidationError(f"unsupported loss {loss!r}")
     if source.labels is None or source.predictions is None:
         raise ValidationError("gap estimation needs source labels and predictions")
     correct = (source.predictions == source.labels).astype(float)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DISCRETE, FeatureSchema, TabularDataset
-from .errors import MalformedRow, RowCountMismatch, SchemaMismatch, ValidationError
+from .data import DISCRETE, FeatureSchema, TabularDataset, check_columns
+from .errors import MalformedRow, RowCountMismatch, ValidationError
 
 
 def design_matrix(schema: FeatureSchema, rows: np.ndarray) -> np.ndarray:
@@ -121,17 +121,8 @@ def train_logistic(ds: TabularDataset, l2_lambda: float = 1e-4,
     )
 
 
-def _check_schema(model: LogisticModel, ds: TabularDataset) -> None:
-    a, b = model.schema, ds.schema
-    if a.d != b.d or any(
-        (ca.name, ca.kind, ca.cardinality) != (cb.name, cb.kind, cb.cardinality)
-        for ca, cb in zip(a.columns, b.columns)
-    ):
-        raise SchemaMismatch("dataset schema differs from the training schema")
-
-
 def predict_probs(model: LogisticModel, ds: TabularDataset) -> np.ndarray:
-    _check_schema(model, ds)
+    check_columns(model.schema, ds.schema, "model", "dataset")
     return _softmax(design_matrix(ds.schema, ds.rows) @ model.coef)
 
 

@@ -128,7 +128,6 @@ class SeesCConfig:
     max_iters: int = 5000
     tol: float = 1e-9
     prob_floor: float = 1e-8
-    penalty_sign: float = -1.0  # -1 subtracts the group term; +1 mirrors the raw display
 
     def __post_init__(self):
         if self.eta < 0:
@@ -187,10 +186,10 @@ class _Problem:
             grad[:, y] = self.phi_t[y].T @ (coef * self.pt[:, y])
         if cfg.eta > 0:
             norms = _group_norms(a, self.groups)
-            value += cfg.penalty_sign * cfg.eta * float(norms.sum())
+            value -= cfg.eta * float(norms.sum())
             for i, g in enumerate(self.groups):
                 if norms[i] > 0:
-                    grad[g] += cfg.penalty_sign * cfg.eta * a[g] / norms[i]
+                    grad[g] -= cfg.eta * a[g] / norms[i]
         return value, grad
 
     def project(self, a: np.ndarray, tol: float = 1e-8, max_passes: int = 100):
@@ -236,6 +235,9 @@ def run_sees_c(source: TabularDataset, target: TabularDataset, basis: BasisSet,
     accepted only if it does not decrease the objective, so the objective
     sequence is nondecreasing. Returns the fitted weight and diagnostics
     (final objective, constraint residual, iterations, non_convergence flag).
+    The flag is 1 when the iteration cap, not the ``tol`` test, ended the
+    ascent, when an accepted step came from a failed projection, or when the
+    final constraint residual exceeds 1e-6.
     """
     problem = _Problem(source, target, basis)
     # start at the feasible uniform rescale of all-ones; for indicator bases
@@ -248,6 +250,7 @@ def run_sees_c(source: TabularDataset, target: TabularDataset, basis: BasisSet,
     value, grad = problem.value_grad(a, cfg)
     iterations = 0
     projection_failed = False
+    converged = False
     for iterations in range(1, cfg.max_iters + 1):
         step = cfg.step_size
         gain = 0.0
@@ -262,12 +265,13 @@ def run_sees_c(source: TabularDataset, target: TabularDataset, basis: BasisSet,
                 break
             step *= 0.5
         if gain < cfg.tol:
+            converged = True
             break
     residual = abs(float((problem.constraint * a).sum()) - 1.0)
     diagnostics = {
         "objective": value,
         "constraint_residual": residual,
         "iterations": float(iterations),
-        "non_convergence": 1.0 if (projection_failed or residual > 1e-6) else 0.0,
+        "non_convergence": 1.0 if (projection_failed or residual > 1e-6 or not converged) else 0.0,
     }
     return BasisWeight(coefficients=a, basis=basis), diagnostics

@@ -11,8 +11,6 @@ tiny per-cell blocks.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -20,7 +18,7 @@ import numpy as np
 
 from .data import TabularDataset
 from .errors import TooManyCandidates, ValidationError
-from .tabulate import LABEL, PREDICTION, EmpiricalPmf, estimate_pmf
+from .tabulate import LABEL, MAX_TABLE_CELLS, PREDICTION, EmpiricalPmf, _axis_column
 from .weights import TableWeight
 
 TIE_TOL = 1e-12
@@ -31,7 +29,6 @@ class SeesDConfig:
     sparsity: int
     weight_bound: float = 20.0
     min_mass_floor: float = 0.0
-    parallel: bool = False
     solver_tol: float = 1e-10
     solver_max_iters: int = 10000
 
@@ -53,15 +50,6 @@ class CandidateFit:
     solver_iterations: int = 0
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("SHIFTSCOPE_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    return cap if cap > 0 else (os.cpu_count() or 1)
-
-
 def enumerate_kappas(J, d: int, s: int) -> list[tuple[int, ...]]:
     """All supersets of J with min(2s, d) members, sorted lexicographically."""
     J = tuple(sorted(int(j) for j in J))
@@ -77,62 +65,85 @@ def enumerate_kappas(J, d: int, s: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-class _SampleTables:
-    """Marginal tables estimated from source/target samples."""
+def _distinct_cells(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct columns of a nonempty (k, n) code array, in lexsort order,
+    and how often each occurs. Rows are compared one at a time so no sorted
+    copy of the whole array is made."""
+    order = np.lexsort(codes)
+    new = np.zeros(codes.shape[1], dtype=bool)
+    new[0] = True
+    for row in codes:
+        ordered = row[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new)
+    return codes[:, order[starts]], np.diff(np.r_[starts, codes.shape[1]]).astype(float)
 
-    def __init__(self, source: TabularDataset, target: TabularDataset):
+
+class _Tables:
+    """Source (features..., prediction, label) and target (features...,
+    prediction) joints, each kept as its distinct 0-based cells (one column
+    per cell), each cell's mass and a total.
+
+    A marginal is one bincount over the cells, divided by the total. From
+    samples the masses are integer counts, so every marginal equals
+    ``estimate_pmf`` on the same axes bit for bit.
+    """
+
+    def __init__(self, source, target, cards: tuple[int, ...]):
+        self.source, self.target = source, target  # (cells, mass, total)
+        self.cards = cards  # per source column: features..., prediction, label
+        self.d = len(cards) - 2
+        self.n_labels = cards[-1]
+
+    @classmethod
+    def from_samples(cls, source: TabularDataset, target: TabularDataset) -> "_Tables":
         if source.labels is None or source.predictions is None:
             raise ValidationError("source needs labels and predictions")
         if target.predictions is None:
             raise ValidationError("target needs predictions")
-        self.source = source
-        self.target = target
-        self.d = source.schema.d
-        self.n_labels = source.schema.n_labels
+        if source.n == 0 or target.n == 0:
+            raise ValidationError("cannot estimate a pmf from an empty dataset")
+        feats = range(1, source.schema.d + 1)
+        sides = []
+        for ds, axes in ((source, (*feats, PREDICTION, LABEL)), (target, (*feats, PREDICTION))):
+            codes = np.empty((len(axes), ds.n), dtype=int)
+            for i, a in enumerate(axes):
+                codes[i], _ = _axis_column(ds, a)
+            sides.append((*_distinct_cells(codes), float(ds.n)))
+        L = source.schema.n_labels
+        return cls(*sides, (*(source.schema.column(j).cardinality for j in feats), L, L))
 
-    def q(self, kappa) -> np.ndarray:
-        return estimate_pmf(self.target, (*kappa, PREDICTION)).mass
-
-    def p(self, kappa) -> np.ndarray:
-        return estimate_pmf(self.source, (*kappa, PREDICTION, LABEL)).mass
-
-    def cardinality(self, j: int) -> int:
-        return self.source.schema.column(j).cardinality
-
-    def label_marginal(self, J) -> np.ndarray:
-        return estimate_pmf(self.source, (*J, LABEL)).mass
-
-
-class _PopulationTables:
-    """Exact marginal tables derived from full joint pmfs.
-
-    ``source_joint`` has axes (1..d, prediction, label); ``target_joint``
-    has axes (1..d, prediction).
-    """
-
-    def __init__(self, source_joint: EmpiricalPmf, target_joint: EmpiricalPmf):
-        feat = [a for a in source_joint.axes if isinstance(a, int)]
-        if not feat or tuple(source_joint.axes) != (*feat, PREDICTION, LABEL):
+    @classmethod
+    def from_joints(cls, source_joint: EmpiricalPmf, target_joint: EmpiricalPmf) -> "_Tables":
+        feat = tuple(range(1, len(source_joint.axes) - 1))
+        if not feat or source_joint.axes != (*feat, PREDICTION, LABEL):
             raise ValidationError("source joint must have axes (features..., prediction, label)")
-        if tuple(target_joint.axes) != (*feat, PREDICTION):
+        if target_joint.axes != (*feat, PREDICTION):
             raise ValidationError("target joint must have axes (features..., prediction)")
-        self.source_joint = source_joint
-        self.target_joint = target_joint
-        self.d = len(feat)
-        self.n_labels = source_joint.cardinalities[-1]
-        self._cards = dict(zip(feat, source_joint.cardinalities[: self.d]))
+        sides = [(np.array(np.nonzero(j.mass)), j.mass[j.mass != 0], 1.0)
+                 for j in (source_joint, target_joint)]
+        return cls(*sides, source_joint.cardinalities)
 
-    def q(self, kappa) -> np.ndarray:
-        return self.target_joint.marginal((*kappa, PREDICTION)).mass
+    def _marginal(self, side, cols: list[int]) -> np.ndarray:
+        cells, mass, total = side
+        cards = tuple(self.cards[c] for c in cols)
+        n_cells = int(np.prod(cards))
+        if n_cells > MAX_TABLE_CELLS:
+            raise ValidationError(f"refusing to materialize table with {n_cells} cells")
+        flat = np.ravel_multi_index(cells[cols], cards)
+        return (np.bincount(flat, weights=mass, minlength=n_cells) / total).reshape(cards)
 
-    def p(self, kappa) -> np.ndarray:
-        return self.source_joint.marginal((*kappa, PREDICTION, LABEL)).mass
+    def q(self, feats) -> np.ndarray:
+        """Target mass over (feats..., prediction), in the given order."""
+        return self._marginal(self.target, [j - 1 for j in feats] + [self.d])
 
-    def cardinality(self, j: int) -> int:
-        return self._cards[j]
+    def p(self, feats) -> np.ndarray:
+        """Source mass over (feats..., prediction, label)."""
+        return self._marginal(self.source, [j - 1 for j in feats] + [self.d, self.d + 1])
 
     def label_marginal(self, J) -> np.ndarray:
-        return self.source_joint.marginal((*J, LABEL)).mass
+        """Source mass over (J..., label)."""
+        return self._marginal(self.source, [j - 1 for j in J] + [self.d + 1])
 
 
 def _box_ls(A: np.ndarray, b: np.ndarray, hi: float, tol: float,
@@ -202,18 +213,15 @@ def _blocks_for(tables, J, s: int):
     """Per-x_J stacked (A, b) systems across every matching kappa."""
     kappas = enumerate_kappas(J, tables.d, s)
     L = tables.n_labels
-    cards_j = [tables.cardinality(j) for j in J]
+    cards_j = [tables.cards[j - 1] for j in J]
     n_blocks = int(np.prod(cards_j)) if J else 1
     rows_a = [[] for _ in range(n_blocks)]
     rows_b = [[] for _ in range(n_blocks)]
     for kappa in kappas:
-        q = tables.q(kappa)
-        p = tables.p(kappa)
-        pos = [kappa.index(j) for j in J]
-        q_m = np.moveaxis(q, pos, range(len(J))) if J else q
-        p_m = np.moveaxis(p, pos, range(len(J))) if J else p
-        q_f = q_m.reshape(n_blocks, -1)
-        p_f = p_m.reshape(n_blocks, -1, L)
+        # x_J leads, so each block is one leading index
+        feats = (*J, *(k for k in kappa if k not in J))
+        q_f = tables.q(feats).reshape(n_blocks, -1)
+        p_f = tables.p(feats).reshape(n_blocks, -1, L)
         for blk in range(n_blocks):
             rows_a[blk].append(p_f[blk])
             rows_b[blk].append(q_f[blk])
@@ -257,33 +265,17 @@ def _fit_blocks(tables, J, cfg: SeesDConfig) -> CandidateFit:
     )
 
 
-def _distance_at(tables, J, s: int, weight: TableWeight) -> float:
-    """Recompute the matching objective at externally supplied weights."""
-    L = tables.n_labels
-    total = 0.0
-    for xj, A, b in _blocks_for(tables, J, s):
-        w = np.array([weight.value(xj, y) for y in range(1, L + 1)])
-        r = A @ w - b
-        total += float(r @ r)
-    return total
-
-
 def fit_candidate(source: TabularDataset, target: TabularDataset, J,
                   cfg: SeesDConfig) -> CandidateFit:
-    return _fit_blocks(_SampleTables(source, target), tuple(sorted(J)), cfg)
+    return _fit_blocks(_Tables.from_samples(source, target), tuple(sorted(J)), cfg)
 
 
 def fit_candidate_population(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf,
                              J, cfg: SeesDConfig) -> CandidateFit:
-    return _fit_blocks(_PopulationTables(source_joint, target_joint), tuple(sorted(J)), cfg)
+    return _fit_blocks(_Tables.from_joints(source_joint, target_joint), tuple(sorted(J)), cfg)
 
 
-def evaluate_distance(source: TabularDataset, target: TabularDataset, J,
-                      weight: TableWeight, cfg: SeesDConfig) -> float:
-    return _distance_at(_SampleTables(source, target), tuple(sorted(J)), cfg.sparsity, weight)
-
-
-def _search(tables, cfg: SeesDConfig):
+def _search(tables: _Tables, cfg: SeesDConfig) -> tuple[TableWeight, tuple[int, ...], dict]:
     d = tables.d
     s = cfg.sparsity
     if s > d:
@@ -291,17 +283,7 @@ def _search(tables, cfg: SeesDConfig):
     n_cand = math.comb(d, s)
     if n_cand > 10**5:
         raise TooManyCandidates(f"{n_cand} candidate subsets of size {s} (limit 1e5)")
-    candidates = [tuple(c) for c in combinations(range(1, d + 1), s)]
-
-    def fit(J):
-        return _fit_blocks(tables, J, cfg)
-
-    if cfg.parallel and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-            fits = list(pool.map(fit, candidates))
-    else:
-        fits = [fit(J) for J in candidates]
-
+    fits = [_fit_blocks(tables, J, cfg) for J in combinations(range(1, d + 1), s)]
     best = fits[0]
     for cand in fits[1:]:
         if cand.distance < best.distance - TIE_TOL:
@@ -311,7 +293,8 @@ def _search(tables, cfg: SeesDConfig):
     diagnostics["unconstrained_cells"] = float(best.unconstrained_cells)
     diagnostics["solver_iterations"] = float(best.solver_iterations)
     diagnostics["candidates"] = float(len(fits))
-    return best, diagnostics
+    weight = _normalize_table(best.weights, tables.label_marginal(best.index_set))
+    return weight, best.index_set, diagnostics
 
 
 def _normalize_table(weight: TableWeight, label_marg: np.ndarray) -> TableWeight:
@@ -335,16 +318,10 @@ def run_sees_d(source: TabularDataset, target: TabularDataset,
     Distances are compared before normalization; ties within 1e-12 go to
     the lexicographically smallest candidate.
     """
-    tables = _SampleTables(source, target)
-    best, diagnostics = _search(tables, cfg)
-    weight = _normalize_table(best.weights, tables.label_marginal(best.index_set))
-    return weight, best.index_set, diagnostics
+    return _search(_Tables.from_samples(source, target), cfg)
 
 
 def run_sees_d_population(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf,
                           cfg: SeesDConfig) -> tuple[TableWeight, tuple[int, ...], dict]:
     """Population mode: identical search over exact joint tables."""
-    tables = _PopulationTables(source_joint, target_joint)
-    best, diagnostics = _search(tables, cfg)
-    weight = _normalize_table(best.weights, tables.label_marginal(best.index_set))
-    return weight, best.index_set, diagnostics
+    return _search(_Tables.from_joints(source_joint, target_joint), cfg)

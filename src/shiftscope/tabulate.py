@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CONTINUOUS, DISCRETE, Column, FeatureSchema, TabularDataset
-from .errors import MissingAxis, SchemaMismatch, TooFewDistinctValues, ValidationError
+from .data import CONTINUOUS, DISCRETE, Column, FeatureSchema, TabularDataset, check_columns
+from .errors import MissingAxis, TooFewDistinctValues, ValidationError
 
 PREDICTION = "prediction"
 LABEL = "label"
@@ -152,12 +152,7 @@ def apply_discretizer(disc: Discretizer, ds: TabularDataset) -> TabularDataset:
     Idempotent on already-discrete datasets (no continuous columns means
     nothing to do).
     """
-    a, b = disc.schema, ds.schema
-    if a.d != b.d or any(
-        (ca.name, ca.kind, ca.cardinality) != (cb.name, cb.kind, cb.cardinality)
-        for ca, cb in zip(a.columns, b.columns)
-    ):
-        raise SchemaMismatch("dataset schema differs from the discretizer's fitting schema")
+    check_columns(disc.schema, ds.schema, "discretizer", "dataset")
     if not disc.edges:
         return ds
     rows = np.array(ds.rows)

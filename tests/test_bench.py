@@ -17,6 +17,12 @@ class TestSuiteLayout:
         assert len(set(params)) == cells
         assert all(item[1] == 0 for item in items)  # the single seed
 
+    def test_sparsity_cells_draw_their_own_shift_size(self):
+        # build after the generator is spent, as run_suite does
+        for param, _, build, _, sparsity in list(_suite_cells("sparsity", 1)):
+            _, _, truth = build()
+            assert len(truth.true_shift_set) == int(param) == sparsity
+
     def test_seeds_multiply_cells(self):
         assert len(list(_suite_cells("robustness", 3))) == 9
 

@@ -96,7 +96,7 @@ class TestPredict:
             columns=(Column("z", "discrete", 3),), label_cardinality=2
         )
         ds = TabularDataset(schema=other, rows=[[1]])
-        with pytest.raises(SchemaMismatch):
+        with pytest.raises(SchemaMismatch, match="column 1"):
             predict(small_model, ds)
 
 

@@ -136,6 +136,13 @@ class TestRunSeesC:
             values.append(diag["objective"])
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
+    def test_iteration_cap_reports_non_convergence(self, sjs_pair):
+        source, target, _ = sjs_pair
+        basis = default_basis(source.schema)
+        _, capped = run_sees_c(source, target, basis, SeesCConfig(max_iters=3))
+        assert capped["iterations"] == 3.0
+        assert capped["non_convergence"] == 1.0
+
     def test_beats_bbse_on_joint_shift(self, sjs_pair):
         source, target, truth = sjs_pair
         basis = default_basis(source.schema)

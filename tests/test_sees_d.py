@@ -9,7 +9,6 @@ from shiftscope.data import Column, FeatureSchema, TabularDataset
 from shiftscope.sees_d import (
     SeesDConfig,
     enumerate_kappas,
-    evaluate_distance,
     fit_candidate,
     fit_candidate_population,
     run_sees_d,
@@ -22,6 +21,7 @@ from shiftscope.synth import (
     stump,
     counterexample_fixture,
 )
+from shiftscope.tabulate import LABEL, PREDICTION, estimate_pmf
 from fractions import Fraction
 
 
@@ -176,13 +176,21 @@ class TestSampleMode:
         assert j1 == j2
         assert dict(w1.table) == pytest.approx(dict(w2.table))
 
-    def test_distance_recomputation_matches(self, small_scored):
+    def test_sample_mode_equals_population_mode_on_empirical_joints(self, small_scored):
         rng = np.random.default_rng(5)
         target = small_scored.take(rng.integers(0, small_scored.n, size=1500))
-        cfg = SeesDConfig(sparsity=1)
-        fit = fit_candidate(small_scored, target, (1,), cfg)
-        again = evaluate_distance(small_scored, target, (1,), fit.weights, cfg)
-        assert again == pytest.approx(fit.distance, abs=1e-10)
+        d = small_scored.schema.d
+        sj = estimate_pmf(small_scored, (*range(1, d + 1), PREDICTION, LABEL))
+        tj = estimate_pmf(target, (*range(1, d + 1), PREDICTION))
+        for s in range(d + 1):
+            cfg = SeesDConfig(sparsity=s)
+            for J in itertools.combinations(range(1, d + 1), s):
+                fit = fit_candidate(small_scored, target, J, cfg)
+                pop = fit_candidate_population(sj, tj, J, cfg)
+                assert fit.distance == pytest.approx(pop.distance, abs=1e-12)
+                assert fit.weights.table.keys() == pop.weights.table.keys()
+                for cell, w in fit.weights.table.items():
+                    assert w == pytest.approx(pop.weights.table[cell], abs=1e-9)
 
     def test_full_kappa_distance_nonnegative_and_zero_on_identity(self, small_scored):
         # 2s >= d forces the single full-feature kappa
@@ -211,14 +219,6 @@ class TestSampleMode:
         )
         with pytest.raises(TooManyCandidates):
             run_sees_d(ds, ds, SeesDConfig(sparsity=4))
-
-    def test_parallel_matches_serial(self, small_scored):
-        rng = np.random.default_rng(11)
-        target = small_scored.take(rng.integers(0, small_scored.n, size=1500))
-        w1, j1, d1 = run_sees_d(small_scored, target, SeesDConfig(sparsity=1))
-        w2, j2, d2 = run_sees_d(small_scored, target,
-                                SeesDConfig(sparsity=1, parallel=True))
-        assert j1 == j2 and dict(w1.table) == dict(w2.table)
 
 
 class TestLabelShiftDegenerate:
