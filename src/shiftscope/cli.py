@@ -13,15 +13,16 @@ import json
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import bench
 from .baselines import run_bbse, run_dlu, run_kliep
 from .data import (
+    DISCRETE,
     FeatureSchema,
     ShiftReport,
     TabularDataset,
     align_schemas,
+    decode_code,
+    encode_code,
     load_dataset,
     load_schema,
     save_dataset,
@@ -39,7 +40,7 @@ from .estimator import (
 from .predictor import load_predictions, predict, train_logistic
 from .sees_c import SeesCConfig, default_basis, run_sees_c
 from .sees_d import SeesDConfig, run_sees_d
-from .synth import ShiftSpec, apply_shift, empirical_marginal
+from .synth import ShiftSpec, draw_pair, score_target
 from .tabulate import apply_discretizer, fit_discretizer
 from .weights import TableWeight
 
@@ -74,61 +75,58 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # Config-file helpers.
 
-def _encode_x(schema: FeatureSchema, indices, values) -> list:
-    out = []
-    for j, v in zip(indices, values):
-        col = schema.column(j)
-        out.append(col.categories[v - 1] if col.categories else str(v))
-    return out
-
-
 def _decode_feature(schema: FeatureSchema, ref) -> int:
-    if isinstance(ref, int):
+    if isinstance(ref, int) and not isinstance(ref, bool):
         return ref
     return schema.index_of(str(ref))
 
 
-def _decode_value(schema: FeatureSchema, j: int, raw) -> int:
-    col = schema.column(j)
-    raw = str(raw)
-    if col.categories and raw in col.categories:
-        return col.categories.index(raw) + 1
-    return int(raw)
-
-
-def _decode_y(schema: FeatureSchema, raw) -> int:
-    raw = str(raw)
-    if schema.label_categories and raw in schema.label_categories:
-        return schema.label_categories.index(raw) + 1
-    return int(raw)
+def _load_cells(path, schema: FeatureSchema, cells_key: str, value_key: str, build):
+    """``build(document, shifted features, {(x_I, y): value})`` for a spec
+    or truth file; anything malformed raises ValidationError naming the
+    file."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+        shifted = tuple(sorted(_decode_feature(schema, f) for f in raw["shifted_features"]))
+        cols = [schema.column(j) for j in shifted]
+        for c in cols:
+            if c.kind != DISCRETE:
+                raise ValueError(f"shifted column {c.name!r} is continuous")
+        cells = {}
+        for cell in raw[cells_key]:
+            xs = cell.get("x", [])
+            if len(xs) != len(cols):
+                raise ValueError(f"cell x {xs!r} does not match {len(cols)} shifted features")
+            xv = tuple(decode_code(v, c.categories, c.cardinality) for c, v in zip(cols, xs))
+            y = decode_code(cell["y"], schema.label_categories, schema.label_cardinality)
+            cells[(xv, y)] = float(cell[value_key])
+        return build(raw, shifted, cells)
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing key {exc}") from exc
+    except (ValidationError, ValueError, TypeError, AttributeError) as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def load_shift_spec(path, schema: FeatureSchema) -> ShiftSpec:
     """Shift spec file: shifted feature names/indices plus (x_I, y) masses."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    shifted = tuple(sorted(_decode_feature(schema, f) for f in raw["shifted_features"]))
-    cells = {}
-    for cell in raw["cells"]:
-        xv = tuple(
-            _decode_value(schema, j, v) for j, v in zip(shifted, cell.get("x", []))
-        )
-        cells[(xv, _decode_y(schema, cell["y"]))] = float(cell["mass"])
-    return ShiftSpec(shifted=shifted, cells=cells)
+    return _load_cells(path, schema, "cells", "mass",
+                       lambda raw, shifted, cells: ShiftSpec(shifted=shifted, cells=cells))
 
 
 def save_truth(path, schema: FeatureSchema, truth: GroundTruth) -> None:
     weights = truth.true_weights
     if not isinstance(weights, TableWeight):
         raise ValidationError("only table truth weights are serializable")
-    cells = []
-    for (xv, y), w in sorted(weights.table.items()):
-        lab = (schema.label_categories[y - 1] if schema.label_categories else str(y))
-        cells.append({
-            "x": _encode_x(schema, weights.index_set, xv),
-            "y": lab,
+    cols = [schema.column(j) for j in weights.index_set]
+    cells = [
+        {
+            "x": [encode_code(v, c.categories) for c, v in zip(cols, xv)],
+            "y": encode_code(y, schema.label_categories),
             "w": w,
-        })
+        }
+        for (xv, y), w in sorted(weights.table.items())
+    ]
     doc = {
         "shifted_features": [schema.column(j).name for j in truth.true_shift_set],
         "weights": cells,
@@ -140,18 +138,15 @@ def save_truth(path, schema: FeatureSchema, truth: GroundTruth) -> None:
 
 
 def load_truth(path, schema: FeatureSchema) -> GroundTruth:
-    with open(path) as fh:
-        raw = json.load(fh)
-    shifted = tuple(sorted(_decode_feature(schema, f) for f in raw["shifted_features"]))
-    table = {}
-    for cell in raw["weights"]:
-        xv = tuple(_decode_value(schema, j, v) for j, v in zip(shifted, cell["x"]))
-        table[(xv, _decode_y(schema, cell["y"]))] = float(cell["w"])
-    return GroundTruth(
-        true_weights=TableWeight(index_set=shifted, table=table),
-        true_shift_set=shifted,
-        true_target_accuracy=raw.get("true_target_accuracy"),
-    )
+    def build(raw, shifted, table):
+        acc = raw.get("true_target_accuracy")
+        return GroundTruth(
+            true_weights=TableWeight(index_set=shifted, table=table),
+            true_shift_set=shifted,
+            true_target_accuracy=None if acc is None else float(acc),
+        )
+
+    return _load_cells(path, schema, "weights", "w", build)
 
 
 # ---------------------------------------------------------------------------
@@ -259,22 +254,10 @@ def cmd_simulate(spec_path, base_path, schema_path, n: int, seed: int,
     if base.labels is None:
         raise ValidationError("base file has no label column")
     spec = load_shift_spec(spec_path, schema)
-    rng = np.random.default_rng(seed)
-    s1, s2 = (int(v) for v in rng.integers(0, 2**31 - 1, size=2))
-    identity = ShiftSpec(shifted=spec.shifted, cells=empirical_marginal(base, spec.shifted))
-    source, _ = apply_shift(base, identity, n, s1)
-    target, truth = apply_shift(base, spec, n, s2)
-
-    model = train_logistic(source)
-    target_scored = predict(model, target)
-    true_acc = float(np.mean(target_scored.predictions == target_scored.labels))
-    truth = GroundTruth(
-        true_weights=truth.true_weights,
-        true_shift_set=truth.true_shift_set,
-        true_target_accuracy=true_acc,
-    )
+    source, target, truth = draw_pair(base, spec, n, n, seed)
+    target, truth = score_target(train_logistic(source), target, truth)
     save_dataset(source, f"{out_prefix}.source.csv", include_labels=True)
-    save_dataset(target.without_labels(), f"{out_prefix}.target.csv")
+    save_dataset(target, f"{out_prefix}.target.csv")
     save_truth(f"{out_prefix}.truth.json", schema, truth)
     print(f"wrote {out_prefix}.source.csv, {out_prefix}.target.csv, {out_prefix}.truth.json")
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -326,39 +327,51 @@ def save_schema(schema: FeatureSchema, path) -> None:
         fh.write("\n")
 
 
+def decode_code(raw, categories: tuple[str, ...] | None, cardinality: int) -> int:
+    """1-based code of a category written as its name or as its code.
+
+    Raises ValueError with a short reason for anything else.
+    """
+    raw = str(raw).strip()
+    if categories is not None and raw in categories:
+        return categories.index(raw) + 1
+    try:
+        code = int(raw)
+    except ValueError:
+        raise ValueError(f"unknown category {raw!r}") from None
+    if not 1 <= code <= cardinality:
+        raise ValueError(f"code {code} outside 1..{cardinality}")
+    return code
+
+
+def encode_code(code: int, categories: tuple[str, ...] | None) -> str:
+    """Category name of a 1-based code, or the code itself without a dictionary."""
+    return categories[code - 1] if categories is not None else str(code)
+
+
 def _decode_cell(col: Column, raw: str, line_no: int) -> float:
     raw = raw.strip()
     if raw == "":
         raise MalformedRow(line_no, f"missing value in column {col.name!r}")
-    if col.kind == CONTINUOUS:
+    if col.kind == DISCRETE:
         try:
-            return float(raw)
-        except ValueError:
-            raise MalformedRow(line_no, f"column {col.name!r}: not a number: {raw!r}")
-    cats = col.categories
-    if cats is not None and raw in cats:
-        return float(cats.index(raw) + 1)
+            return float(decode_code(raw, col.categories, col.cardinality))
+        except ValueError as exc:
+            raise MalformedRow(line_no, f"column {col.name!r}: {exc}") from None
     try:
-        code = int(raw)
+        value = float(raw)
     except ValueError:
-        raise MalformedRow(line_no, f"column {col.name!r}: unknown category {raw!r}")
-    if not 1 <= code <= col.cardinality:
-        raise MalformedRow(line_no, f"column {col.name!r}: code {code} outside range")
-    return float(code)
+        raise MalformedRow(line_no, f"column {col.name!r}: not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise MalformedRow(line_no, f"column {col.name!r}: non-finite value {raw!r}")
+    return value
 
 
 def _decode_label(schema: FeatureSchema, raw: str, line_no: int) -> int:
-    raw = raw.strip()
-    cats = schema.label_categories
-    if cats is not None and raw in cats:
-        return cats.index(raw) + 1
     try:
-        code = int(raw)
-    except ValueError:
-        raise MalformedRow(line_no, f"unknown label {raw!r}")
-    if not 1 <= code <= schema.label_cardinality:
-        raise MalformedRow(line_no, f"label {code} outside 1..{schema.label_cardinality}")
-    return code
+        return decode_code(raw, schema.label_categories, schema.label_cardinality)
+    except ValueError as exc:
+        raise MalformedRow(line_no, f"label: {exc}") from None
 
 
 def load_dataset(path, schema: FeatureSchema) -> TabularDataset:
@@ -396,10 +409,7 @@ def load_dataset(path, schema: FeatureSchema) -> TabularDataset:
 
 def _encode_cell(col: Column, value: float) -> str:
     if col.kind == DISCRETE:
-        code = int(round(value))
-        if col.categories is not None:
-            return col.categories[code - 1]
-        return str(code)
+        return encode_code(int(round(value)), col.categories)
     return repr(float(value))
 
 
@@ -420,7 +430,5 @@ def save_dataset(ds: TabularDataset, path, include_labels: bool = True) -> None:
         for i in range(ds.n):
             rec = [_encode_cell(c, ds.rows[i, j]) for j, c in enumerate(schema.columns)]
             if labeled:
-                code = int(ds.labels[i])
-                cats = schema.label_categories
-                rec.append(cats[code - 1] if cats is not None else str(code))
+                rec.append(encode_code(int(ds.labels[i]), schema.label_categories))
             writer.writerow(rec)

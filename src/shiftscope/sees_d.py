@@ -18,7 +18,8 @@ import numpy as np
 
 from .data import TabularDataset
 from .errors import TooManyCandidates, ValidationError
-from .tabulate import LABEL, MAX_TABLE_CELLS, PREDICTION, EmpiricalPmf, _axis_column
+from .tabulate import (LABEL, MAX_TABLE_CELLS, PREDICTION, EmpiricalPmf, _axis_column,
+                       distinct_rows)
 from .weights import TableWeight
 
 TIE_TOL = 1e-12
@@ -65,20 +66,6 @@ def enumerate_kappas(J, d: int, s: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _distinct_cells(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct columns of a nonempty (k, n) code array, in lexsort order,
-    and how often each occurs. Rows are compared one at a time so no sorted
-    copy of the whole array is made."""
-    order = np.lexsort(codes)
-    new = np.zeros(codes.shape[1], dtype=bool)
-    new[0] = True
-    for row in codes:
-        ordered = row[order]
-        new[1:] |= ordered[1:] != ordered[:-1]
-    starts = np.flatnonzero(new)
-    return codes[:, order[starts]], np.diff(np.r_[starts, codes.shape[1]]).astype(float)
-
-
 class _Tables:
     """Source (features..., prediction, label) and target (features...,
     prediction) joints, each kept as its distinct 0-based cells (one column
@@ -106,10 +93,9 @@ class _Tables:
         feats = range(1, source.schema.d + 1)
         sides = []
         for ds, axes in ((source, (*feats, PREDICTION, LABEL)), (target, (*feats, PREDICTION))):
-            codes = np.empty((len(axes), ds.n), dtype=int)
-            for i, a in enumerate(axes):
-                codes[i], _ = _axis_column(ds, a)
-            sides.append((*_distinct_cells(codes), float(ds.n)))
+            cells, inverse = distinct_rows([_axis_column(ds, a)[0] for a in axes])
+            sides.append((np.array(cells, dtype=int).T, np.bincount(inverse).astype(float),
+                          float(ds.n)))
         L = source.schema.n_labels
         return cls(*sides, (*(source.schema.column(j).cardinality for j in feats), L, L))
 

@@ -9,7 +9,7 @@ conditional distribution of everything else.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -18,7 +18,7 @@ import numpy as np
 from .data import DISCRETE, Column, FeatureSchema, TabularDataset
 from .errors import EmptyCell, ValidationError
 from .estimator import GroundTruth
-from .tabulate import LABEL, PREDICTION, EmpiricalPmf
+from .tabulate import LABEL, PREDICTION, EmpiricalPmf, distinct_rows
 from .weights import TableWeight
 
 
@@ -218,12 +218,12 @@ def sample_analytic(dist: AnalyticDistribution, n: int, seed: int,
     cum[-1] = 1.0
     rng = np.random.default_rng(seed)
     idx = np.searchsorted(cum, rng.random(n), side="right")
-    rows = np.array([keys[i][0] for i in idx], dtype=float).reshape(n, dist.schema.d)
-    labels = np.array([keys[i][1] for i in idx], dtype=int)
+    xs = np.array([x for x, _ in keys], dtype=float).reshape(len(keys), dist.schema.d)
+    ys = np.array([y for _, y in keys], dtype=int)
     return TabularDataset(
         schema=dist.schema,
-        rows=rows,
-        labels=labels if with_labels else None,
+        rows=xs[idx],
+        labels=ys[idx] if with_labels else None,
     )
 
 
@@ -258,46 +258,48 @@ class ShiftSpec:
         object.__setattr__(self, "cells", MappingProxyType(cells))
 
 
-def _cell_keys(base: TabularDataset, indices) -> list:
+def _cells(base: TabularDataset, indices, labeled: bool = True):
+    """Distinct ``(x_I value tuple, y)`` cells of ``base`` (``x_I`` tuples
+    when not ``labeled``) in order of first appearance, each cell's share of
+    the rows, and each row's position among the cells."""
     cols = [base.column_values(j).astype(int) for j in indices]
-    y = base.labels
-    return [
-        (tuple(c[i] for c in cols), int(y[i])) for i in range(base.n)
-    ]
+    keys, inverse = distinct_rows([*cols, base.labels] if labeled else cols)
+    if labeled:
+        keys = [(k[:-1], k[-1]) for k in keys]
+    return keys, (np.bincount(inverse, minlength=len(keys)) / base.n).tolist(), inverse
 
 
 def empirical_marginal(base: TabularDataset, indices) -> dict:
     """Empirical (x_I, y) marginal of a labeled dataset."""
     if base.labels is None:
         raise ValidationError("base dataset needs labels")
-    out: dict = {}
-    for key in _cell_keys(base, tuple(indices)):
-        out[key] = out.get(key, 0.0) + 1.0
-    return {k: v / base.n for k, v in out.items()}
+    keys, shares, _ = _cells(base, tuple(indices))
+    return dict(zip(keys, shares))
 
 
-def _resample_by_cells(base: TabularDataset, cell_of_row: list, cells: dict,
-                       n: int, seed: int) -> np.ndarray:
+def _resample_by_cells(keys: list, inverse: np.ndarray, cells, n: int,
+                       seed: int) -> np.ndarray:
     """Draw n base-row indices: first a cell from ``cells``, then a uniform
-    row among that cell's members."""
-    members: dict = {}
-    for i, key in enumerate(cell_of_row):
-        members.setdefault(key, []).append(i)
-    keys = sorted(k for k, m in cells.items() if m > 0)
-    for key in keys:
-        if key not in members:
+    row among that cell's members. ``keys`` are the base's cells and
+    ``inverse`` each base row's position among them."""
+    if n == 0:
+        return np.array([], dtype=int)
+    position = {k: i for i, k in enumerate(keys)}
+    drawn = sorted(k for k, m in cells.items() if m > 0)
+    for key in drawn:
+        if key not in position:
             raise EmptyCell(key)
-    probs = np.array([cells[k] for k in keys])
+    probs = np.array([cells[k] for k in drawn])
     cum = np.cumsum(probs / probs.sum())
     cum[-1] = 1.0
     rng = np.random.default_rng(seed)
     cell_idx = np.searchsorted(cum, rng.random(n), side="right")
     chosen = np.empty(n, dtype=int)
-    for ci, key in enumerate(keys):
+    for ci, key in enumerate(drawn):
         mask = cell_idx == ci
         m = int(mask.sum())
         if m:
-            pool = np.array(members[key])
+            pool = np.flatnonzero(inverse == position[key])
             chosen[mask] = pool[rng.integers(0, len(pool), size=m)]
     return chosen
 
@@ -313,21 +315,13 @@ def apply_shift(base: TabularDataset, spec: ShiftSpec, n: int, seed: int):
         raise ValidationError("apply_shift needs a labeled base")
     if any(not 1 <= j <= base.schema.d for j in spec.shifted):
         raise ValidationError("shifted feature index outside schema")
-    base_marg = empirical_marginal(base, spec.shifted)
-    table = {}
-    for key, mass in base_marg.items():
-        table[key] = spec.cells.get(key, 0.0) / mass
+    keys, shares, inverse = _cells(base, spec.shifted)
+    table = {key: spec.cells.get(key, 0.0) / mass for key, mass in zip(keys, shares)}
     truth = GroundTruth(
         true_weights=TableWeight(index_set=spec.shifted, table=table),
         true_shift_set=spec.shifted,
     )
-    if n == 0:
-        sample = base.take(np.array([], dtype=int))
-        return sample, truth
-    rows = _resample_by_cells(
-        base, _cell_keys(base, spec.shifted), dict(spec.cells), n, seed
-    )
-    return base.take(rows), truth
+    return base.take(_resample_by_cells(keys, inverse, spec.cells, n, seed)), truth
 
 
 def pure_label_shift(base: TabularDataset, label_marginal: dict, n: int, seed: int):
@@ -342,34 +336,27 @@ def pure_covariate_shift(base: TabularDataset, feature: int,
     preserves p(y | x_I); truth weights ignore y."""
     if base.labels is None:
         raise ValidationError("pure_covariate_shift needs a labeled base")
-    col = base.column_values(feature).astype(int)
-    base_marg: dict = {}
-    for v in col:
-        base_marg[int(v)] = base_marg.get(int(v), 0.0) + 1.0 / base.n
+    keys, shares, inverse = _cells(base, (feature,), labeled=False)
+    base_marg = dict(zip(keys, shares))
     total = float(sum(feature_marginal.values()))
     if abs(total - 1.0) > 1e-9:
         raise ValidationError(f"feature marginal sums to {total}")
     cells = {}
     for v, m in feature_marginal.items():
-        if m > 0 and int(v) not in base_marg:
-            raise EmptyCell(((int(v),),))
-        cells[int(v)] = float(m) / total
-    table = {}
-    for v, mass in base_marg.items():
-        w = cells.get(v, 0.0) / mass
-        for y in range(1, base.schema.n_labels + 1):
-            table[((v,), y)] = w
+        key = (int(v),)
+        if m > 0 and key not in base_marg:
+            raise EmptyCell((key,))
+        cells[key] = float(m) / total
+    table = {
+        (xv, y): cells.get(xv, 0.0) / mass
+        for xv, mass in base_marg.items()
+        for y in range(1, base.schema.n_labels + 1)
+    }
     truth = GroundTruth(
         true_weights=TableWeight(index_set=(feature,), table=table),
         true_shift_set=(feature,),
     )
-    if n == 0:
-        return base.take(np.array([], dtype=int)), truth
-    cell_of_row = [((int(v),),) for v in col]
-    rows = _resample_by_cells(
-        base, cell_of_row, {((v,),): m for v, m in cells.items()}, n, seed
-    )
-    return base.take(rows), truth
+    return base.take(_resample_by_cells(keys, inverse, cells, n, seed)), truth
 
 
 # ---------------------------------------------------------------------------
@@ -437,33 +424,47 @@ def _child_seeds(seed: int, k: int) -> list[int]:
     return [int(v) for v in rng.integers(0, 2**31 - 1, size=k)]
 
 
-def shifted_pair(base: TabularDataset, model, shifted: tuple[int, ...],
-                 target_marginal: dict, n_source: int, n_target: int, seed: int):
-    """Draw a (source, target) pair from one base under a chosen shift.
+def draw_pair(base: TabularDataset, spec: ShiftSpec, n_source: int, n_target: int,
+              seed: int):
+    """Draw a labeled (source, target) pair from one base under ``spec``.
 
     The source is a plain resample (the base's own (x_I, y) marginal), the
-    target follows ``target_marginal``; both keep the base conditionals, so
-    the pair is under exact |I|-sparse joint shift with known weights. The
-    returned target is unlabeled; its true accuracy under ``model`` is
-    recorded on the ground truth.
+    target follows ``spec``; both keep the base conditionals, so the pair is
+    under exact |I|-sparse joint shift with the returned truth weights.
     """
+    s1, s2 = _child_seeds(seed, 2)
+    identity = ShiftSpec(shifted=spec.shifted, cells=empirical_marginal(base, spec.shifted))
+    source, _ = apply_shift(base, identity, n_source, s1)
+    target, truth = apply_shift(base, spec, n_target, s2)
+    return source, target, truth
+
+
+def score_target(model, target: TabularDataset, truth: GroundTruth):
+    """Record the true accuracy of ``model`` on the labeled ``target`` in
+    the truth; returns (target scored and without labels, truth)."""
     from .predictor import predict
 
-    s1, s2 = _child_seeds(seed, 2)
-    id_spec = ShiftSpec(shifted=shifted, cells=empirical_marginal(base, shifted))
-    source, _ = apply_shift(base, id_spec, n_source, s1)
-    target, truth0 = apply_shift(
-        base, ShiftSpec(shifted=shifted, cells=target_marginal), n_target, s2
-    )
-    source = predict(model, source)
     target = predict(model, target)
-    acc_t = float(np.mean(target.predictions == target.labels)) if n_target else 0.0
-    truth = GroundTruth(
-        true_weights=truth0.true_weights,
-        true_shift_set=truth0.true_shift_set,
-        true_target_accuracy=acc_t,
-    )
-    return source, target.without_labels(), truth
+    acc = float(np.mean(target.predictions == target.labels)) if target.n else 0.0
+    return target.without_labels(), replace(truth, true_target_accuracy=acc)
+
+
+def _scored_pair(model, source: TabularDataset, target: TabularDataset,
+                 truth: GroundTruth):
+    """The pair scored by ``model``, with the target as :func:`score_target` leaves it."""
+    from .predictor import predict
+
+    return (predict(model, source), *score_target(model, target, truth))
+
+
+def shifted_pair(base: TabularDataset, model, shifted: tuple[int, ...],
+                 target_marginal: dict, n_source: int, n_target: int, seed: int):
+    """:func:`draw_pair` under the (x_I, y) marginal ``target_marginal``,
+    scored by ``model``. The returned target is unlabeled; its true
+    accuracy under ``model`` is recorded on the ground truth.
+    """
+    spec = ShiftSpec(shifted=shifted, cells=target_marginal)
+    return _scored_pair(model, *draw_pair(base, spec, n_source, n_target, seed))
 
 
 def covariate_pair(base: TabularDataset, model, feature: int,
@@ -471,26 +472,12 @@ def covariate_pair(base: TabularDataset, model, feature: int,
                    seed: int):
     """Like shifted_pair but moving a single feature's marginal only, which
     keeps p(y | x) fixed across the pair."""
-    from .predictor import predict
-
     s1, s2 = _child_seeds(seed, 2)
-    col = base.column_values(feature).astype(int)
-    base_marg: dict = {}
-    for v in col:
-        base_marg[int(v)] = base_marg.get(int(v), 0.0) + 1.0 / base.n
+    keys, shares, _ = _cells(base, (feature,), labeled=False)
+    base_marg = {v: m for (v,), m in zip(keys, shares)}
     source, _ = pure_covariate_shift(base, feature, base_marg, n_source, s1)
-    target, truth0 = pure_covariate_shift(
-        base, feature, target_feature_marginal, n_target, s2
-    )
-    source = predict(model, source)
-    target = predict(model, target)
-    acc_t = float(np.mean(target.predictions == target.labels)) if n_target else 0.0
-    truth = GroundTruth(
-        true_weights=truth0.true_weights,
-        true_shift_set=truth0.true_shift_set,
-        true_target_accuracy=acc_t,
-    )
-    return source, target.without_labels(), truth
+    target, truth = pure_covariate_shift(base, feature, target_feature_marginal, n_target, s2)
+    return _scored_pair(model, source, target, truth)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,33 @@ class EmpiricalPmf:
         )
 
 
+def distinct_rows(columns) -> tuple[list[tuple], np.ndarray]:
+    """Distinct rows of one or more equal-length columns, as tuples in order
+    of first appearance, and each row's position in that list.
+
+    One stable lexsort groups equal rows; the sorted columns are compared
+    one at a time, so no stacked copy of the rows is made.
+    """
+    columns = [np.asarray(c) for c in columns]
+    n = columns[0].shape[0]
+    if n == 0:
+        return [], np.zeros(0, dtype=np.intp)
+    order = np.lexsort(columns)
+    new = np.zeros(n, dtype=bool)
+    new[0] = True
+    for col in columns:
+        ordered = col[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    # the sort is stable, so each group opens with its first row
+    firsts = order[new]
+    rank = np.empty(firsts.size, dtype=np.intp)
+    rank[np.argsort(firsts)] = np.arange(firsts.size)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = rank[np.cumsum(new) - 1]
+    firsts.sort()
+    return list(zip(*(col[firsts].tolist() for col in columns))), inverse
+
+
 def _axis_column(ds: TabularDataset, axis) -> tuple[np.ndarray, int]:
     """Resolve one axis to (0-based codes, cardinality)."""
     if axis == PREDICTION:

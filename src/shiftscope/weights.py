@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import TabularDataset
 from .errors import ValidationError
+from .tabulate import distinct_rows
 
 
 class WeightFunction:
@@ -67,17 +68,20 @@ class TableWeight(WeightFunction):
             tbl[tuple(int(v) for v in xj), int(y)] = float(w)
         object.__setattr__(self, "table", MappingProxyType(tbl))
 
-    def _keys_for(self, ds: TabularDataset):
-        y = _require_labels(ds)
+    def _cell_lookup(self, ds: TabularDataset) -> tuple[list, np.ndarray]:
+        """Each distinct (x_J, y) key of ``ds`` with its table entry (None
+        if unseen), and each row's position among them."""
         cols = [ds.column_values(j).astype(int) for j in self.index_set]
-        for i in range(ds.n):
-            yield tuple(c[i] for c in cols), int(y[i])
+        keys, inverse = distinct_rows([*cols, _require_labels(ds)])
+        return [self.table.get((k[:-1], k[-1])) for k in keys], inverse
 
     def weights_for(self, ds: TabularDataset) -> np.ndarray:
-        return np.array([self.table.get(k, self.fallback) for k in self._keys_for(ds)])
+        found, inverse = self._cell_lookup(ds)
+        return np.array([self.fallback if w is None else w for w in found], dtype=float)[inverse]
 
     def fallback_hits(self, ds: TabularDataset) -> int:
-        return sum(1 for k in self._keys_for(ds) if k not in self.table)
+        found, inverse = self._cell_lookup(ds)
+        return int(np.array([w is None for w in found], dtype=bool)[inverse].sum())
 
     def value(self, x_j, y: int) -> float:
         return self.table.get((tuple(int(v) for v in x_j), int(y)), self.fallback)

@@ -83,6 +83,30 @@ class TestSimulate:
         assert code == 2
         assert "ERROR" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        '{"shifted_features": ["x1"], "cells": [{"x": ["maybe"], "y": "1", "mass": 1.0}]}',
+        '{"shifted_features": ["x1"], "cells": [{"x": ["1"], "y": "maybe", "mass": 1.0}]}',
+        '{"shifted_features": ["x1"]}',
+        '{"shifted_features": ["x1"], "cells": [',
+        '{"shifted_features": [true], "cells": [{"x": ["1"], "y": "1", "mass": 1.0}]}',
+    ], ids=["unknown-category", "unknown-label", "no-cells-key", "invalid-json",
+            "bool-feature"])
+    def test_malformed_spec_is_an_input_error(self, workspace, tmp_path, capsys, text):
+        bad = tmp_path / "bad_spec.json"
+        bad.write_text(text)
+        code = main([
+            "simulate",
+            "--spec-path", str(bad),
+            "--base-path", str(workspace / "base.csv"),
+            "--schema-path", str(workspace / "schema.json"),
+            "--n", "10",
+            "--out-prefix", str(tmp_path / "x"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"ERROR VALIDATION_ERROR: {bad}: ")
+        assert err.count("\n") == 1
+
 
 class TestEstimate:
     def estimate(self, root, out, method="sees-d", extra=()):
@@ -120,6 +144,17 @@ class TestEstimate:
         assert report["weight_metrics"] is not None
         assert report["weight_metrics"]["mse"] < 0.05
         assert "gap_sq_error" in report["diagnostics"]
+
+    def test_malformed_truth_is_an_input_error(self, workspace, tmp_path, capsys):
+        run_simulate(workspace)
+        truth = json.loads((workspace / "sim.truth.json").read_text())
+        truth["weights"][0]["y"] = "maybe"
+        bad = tmp_path / "bad_truth.json"
+        bad.write_text(json.dumps(truth))
+        code = self.estimate(workspace, tmp_path / "report.json", extra=("--truth-path", str(bad)))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"ERROR VALIDATION_ERROR: {bad}: ")
 
     def test_method_all_emits_one_entry_per_method(self, workspace, tmp_path):
         run_simulate(workspace)
@@ -194,6 +229,41 @@ class TestMixedSchema:
         # dropping class-1 rows raises accuracy on the target for this model
         for r in reports:
             assert -1.0 <= r["delta_hat"] <= 19.0
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_continuous_cell_is_rejected(self, tmp_path, capsys, value):
+        import numpy as np
+
+        from shiftscope.data import Column, FeatureSchema, TabularDataset
+
+        rng = np.random.default_rng(3)
+        n = 400
+        y = rng.integers(1, 3, size=n)
+        rows = np.column_stack([rng.normal(y - 1.5, 1.0), 1 + (rng.random(n) < 0.5)])
+        schema = FeatureSchema(
+            columns=(Column("v", "continuous"), Column("g", "discrete", 2)),
+            label_cardinality=2,
+        )
+        ds = TabularDataset(schema=schema, rows=rows, labels=y)
+        save_dataset(ds, tmp_path / "src.csv")
+        save_dataset(ds.without_labels(), tmp_path / "tgt.csv")
+        save_schema(schema, tmp_path / "schema.json")
+        lines = (tmp_path / "src.csv").read_text().splitlines()
+        lines[5] = ",".join([value] + lines[5].split(",")[1:])
+        (tmp_path / "src.csv").write_text("\n".join(lines) + "\n")
+        code = main([
+            "estimate",
+            "--source-path", str(tmp_path / "src.csv"),
+            "--target-path", str(tmp_path / "tgt.csv"),
+            "--schema-path", str(tmp_path / "schema.json"),
+            "--output-path", str(tmp_path / "report.json"),
+            "--method", "all",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("ERROR MALFORMED_ROW: line 6: column 'v': non-finite value")
+        assert err.count("\n") == 1
 
 
 class TestBench:
