@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import DISCRETE, TabularDataset
+from .data import TabularDataset
 from .errors import DegenerateKernel, SingularConfusion, ValidationError
-from .predictor import train_logistic
-from .tabulate import LABEL, PREDICTION, EmpiricalPmf, estimate_pmf
+from .predictor import one_hot, train_logistic
+from .tabulate import LABEL, PREDICTION, EmpiricalPmf, distinct_first, estimate_pmf
 from .weights import KernelWeight, ModelRatioWeight, TableWeight
 
 CONDITION_LIMIT = 1e12
@@ -63,24 +63,6 @@ def run_bbse_population(source_joint: EmpiricalPmf,
     return _bbse_weight(w), {"condition_number": cond, "min_class_weight": float(w.min())}
 
 
-def _one_hot_encoder(schema):
-    """Numeric embedding for kernel methods: one-hot discrete, raw continuous."""
-
-    def encode(ds: TabularDataset) -> np.ndarray:
-        parts = []
-        for j, col in enumerate(schema.columns):
-            vals = ds.rows[:, j]
-            if col.kind == DISCRETE:
-                codes = vals.astype(int)
-                for c in range(1, col.cardinality + 1):
-                    parts.append((codes == c).astype(float))
-            else:
-                parts.append(vals.astype(float))
-        return np.column_stack(parts)
-
-    return encode
-
-
 def _median_pairwise(x: np.ndarray, limit: int = 1000) -> float:
     if x.shape[0] > limit:
         idx = np.unique(np.linspace(0, x.shape[0] - 1, num=limit).round().astype(int))
@@ -102,7 +84,11 @@ def run_kliep(source: TabularDataset, target: TabularDataset, centers: int = 100
     pairwise distance over a bounded subsample of the pooled data. The
     log-likelihood ascent backtracks, so accepted objectives never decrease.
     """
-    encode = _one_hot_encoder(source.schema)
+    schema = source.schema
+
+    def encode(ds: TabularDataset) -> np.ndarray:
+        return one_hot(schema, ds.rows)
+
     xs, xt = encode(source), encode(target)
     sigma = _median_pairwise(np.vstack([xs, xt]))
     if sigma <= 0:
@@ -120,7 +106,11 @@ def run_kliep(source: TabularDataset, target: TabularDataset, centers: int = 100
         )
         return np.exp(-gamma * np.maximum(sq, 0.0))
 
-    k_t = kernel(xt)
+    # the target enters only through its distinct rows, weighted by count
+    first, inverse = distinct_first(target.rows.T)
+    counts = np.bincount(inverse).astype(float)
+    n_t = target.n
+    k_t = kernel(xt[first])
     b = kernel(xs).mean(axis=0)  # source-mean of each kernel
 
     b_sq = float(b @ b)
@@ -135,13 +125,13 @@ def run_kliep(source: TabularDataset, target: TabularDataset, centers: int = 100
         return alpha / s
 
     def objective(alpha):
-        return float(np.mean(np.log(np.maximum(k_t @ alpha, EPS))))
+        return float((counts * np.log(np.maximum(k_t @ alpha, EPS))).sum()) / n_t
 
     alpha = project(np.ones(ctr.shape[0]))
     value = objective(alpha)
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        grad = k_t.T @ (1.0 / np.maximum(k_t @ alpha, EPS)) / k_t.shape[0]
+        grad = k_t.T @ (counts / np.maximum(k_t @ alpha, EPS)) / n_t
         step = 1.0
         improved = False
         for _ in range(40):

@@ -15,22 +15,29 @@ import numpy as np
 
 from .data import DISCRETE, FeatureSchema, TabularDataset, check_columns
 from .errors import MalformedRow, RowCountMismatch, ValidationError
+from .tabulate import distinct_first
 
 
-def design_matrix(schema: FeatureSchema, rows: np.ndarray) -> np.ndarray:
-    """One-hot expand discrete columns (first category dropped to keep the
-    intercept full-rank), pass continuous columns through, append intercept."""
+def one_hot(schema: FeatureSchema, rows: np.ndarray, drop_first: bool = False) -> np.ndarray:
+    """One indicator column per category of each discrete column (each
+    column's first category left out if ``drop_first``); continuous columns
+    pass through."""
     parts = []
     for j, col in enumerate(schema.columns):
         vals = rows[:, j]
         if col.kind == DISCRETE:
             codes = vals.astype(int)
-            for c in range(2, col.cardinality + 1):
+            for c in range(2 if drop_first else 1, col.cardinality + 1):
                 parts.append((codes == c).astype(float))
         else:
             parts.append(vals.astype(float))
-    parts.append(np.ones(rows.shape[0]))
     return np.column_stack(parts)
+
+
+def design_matrix(schema: FeatureSchema, rows: np.ndarray) -> np.ndarray:
+    """The logistic design: :func:`one_hot` with each first category dropped,
+    to keep the intercept full-rank, and the intercept appended."""
+    return np.column_stack([one_hot(schema, rows, drop_first=True), np.ones(rows.shape[0])])
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -40,23 +47,27 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def logistic_loss_grad(w_flat: np.ndarray, x: np.ndarray, y_idx: np.ndarray,
-                       l2_lambda: float) -> tuple[float, np.ndarray]:
+                       counts: np.ndarray, l2_lambda: float) -> tuple[float, np.ndarray]:
     """Mean cross-entropy + (lambda/2)||W||^2 over non-intercept rows.
 
-    ``w_flat`` is the (p, L) coefficient matrix flattened; the last design
-    column is the intercept and is left unregularized.
+    Row ``i`` of ``x`` and ``y_idx`` stands for ``counts[i]`` equal rows, and
+    the mean is over all of them. ``w_flat`` is the (p, L) coefficient matrix
+    flattened; the last design column is the intercept and is left
+    unregularized.
     """
-    n, p = x.shape
+    m, p = x.shape
     L = w_flat.size // p
     w = w_flat.reshape(p, L)
+    n = counts.sum()
     probs = _softmax(x @ w)
-    nll = -float(np.mean(np.log(np.maximum(probs[np.arange(n), y_idx], 1e-300))))
+    picked = np.log(np.maximum(probs[np.arange(m), y_idx], 1e-300))
+    nll = -float((counts * picked).sum()) / n
     reg_mask = np.ones((p, 1))
     reg_mask[-1] = 0.0
     loss = nll + 0.5 * l2_lambda * float(((w * w) * reg_mask).sum())
-    resid = probs.copy()
-    resid[np.arange(n), y_idx] -= 1.0
-    grad = x.T @ resid / n + l2_lambda * (w * reg_mask)
+    resid = probs  # probs is not read again
+    resid[np.arange(m), y_idx] -= 1.0
+    grad = x.T @ (resid * counts[:, None]) / n + l2_lambda * (w * reg_mask)
     return loss, grad.reshape(-1)
 
 
@@ -78,7 +89,8 @@ class LogisticModel:
 
 def train_logistic(ds: TabularDataset, l2_lambda: float = 1e-4,
                    max_iters: int = 2000) -> LogisticModel:
-    """Full-batch gradient descent with backtracking from zero init.
+    """Full-batch gradient descent with backtracking from zero init, on the
+    distinct (row, label) pairs of ``ds`` weighted by their counts.
 
     Deterministic: the same dataset always yields the same model. If the
     gradient norm still exceeds 1e-4 at ``max_iters`` the model is returned
@@ -89,10 +101,13 @@ def train_logistic(ds: TabularDataset, l2_lambda: float = 1e-4,
     L = ds.schema.n_labels
     if ds.n < L:
         raise ValidationError(f"need at least L={L} rows to train")
-    x = design_matrix(ds.schema, ds.rows)
-    y_idx = ds.labels - 1
+    # the fit reads the data only through its distinct (row, label) pairs
+    first, inverse = distinct_first([*ds.rows.T, ds.labels])
+    counts = np.bincount(inverse).astype(float)
+    x = design_matrix(ds.schema, ds.rows[first])
+    y_idx = ds.labels[first] - 1
     w = np.zeros(x.shape[1] * L)
-    loss, grad = logistic_loss_grad(w, x, y_idx, l2_lambda)
+    loss, grad = logistic_loss_grad(w, x, y_idx, counts, l2_lambda)
     step = 1.0
     it = 0
     for it in range(1, max_iters + 1):
@@ -102,7 +117,7 @@ def train_logistic(ds: TabularDataset, l2_lambda: float = 1e-4,
         accepted = False
         for _ in range(50):
             w_new = w - step * grad
-            loss_new, grad_new = logistic_loss_grad(w_new, x, y_idx, l2_lambda)
+            loss_new, grad_new = logistic_loss_grad(w_new, x, y_idx, counts, l2_lambda)
             if loss_new <= loss:
                 w, loss, grad = w_new, loss_new, grad_new
                 step = min(step * 2.0, 1e4)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .data import DISCRETE, FeatureSchema, TabularDataset
 from .errors import ValidationError
+from .tabulate import distinct_first
 from .weights import BasisWeight
 
 
@@ -162,8 +163,13 @@ class _Problem:
         L = source.schema.n_labels
         self.L = L
         self.groups = basis.groups()
-        self.phi_t = basis.design_stack(target.rows, L)  # (L, n_t, K)
-        self.pt = target.pred_probs  # (n_t, L)
+        # the target enters only through its distinct (row, probabilities)
+        # pairs, weighted by count; equal rows may carry external
+        # predictions that differ
+        first, inverse = distinct_first([*target.rows.T, *target.pred_probs.T])
+        self.counts = np.bincount(inverse).astype(float)
+        self.phi_t = basis.design_stack(target.rows[first], L)  # (L, m, K)
+        self.pt = target.pred_probs[first]  # (m, L)
         self.n_t = target.n
         # linear constraint: sum_{k,y} a[k,y] * c[k,y] = 1
         c = np.zeros((basis.size, L))
@@ -174,13 +180,13 @@ class _Problem:
         self.constraint = c / source.n
 
     def value_grad(self, a: np.ndarray, cfg: SeesCConfig):
-        inner = np.zeros(self.n_t)
+        inner = np.zeros(self.counts.size)
         for y in range(self.L):
             inner += self.pt[:, y] * (self.phi_t[y] @ a[:, y])
         floored = inner < cfg.prob_floor
         safe = np.maximum(inner, cfg.prob_floor)
-        value = float(np.mean(np.log(safe)))
-        coef = np.where(floored, 0.0, 1.0 / safe) / self.n_t
+        value = float((self.counts * np.log(safe)).sum()) / self.n_t
+        coef = np.where(floored, 0.0, self.counts / safe) / self.n_t
         grad = np.empty_like(a)
         for y in range(self.L):
             grad[:, y] = self.phi_t[y].T @ (coef * self.pt[:, y])

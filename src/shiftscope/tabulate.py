@@ -65,9 +65,10 @@ class EmpiricalPmf:
         )
 
 
-def distinct_rows(columns) -> tuple[list[tuple], np.ndarray]:
-    """Distinct rows of one or more equal-length columns, as tuples in order
-    of first appearance, and each row's position in that list.
+def distinct_first(columns) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct row of one or more equal-length
+    columns, as ascending row indices (so in order of first appearance),
+    and each row's position in that index.
 
     One stable lexsort groups equal rows; the sorted columns are compared
     one at a time, so no stacked copy of the rows is made.
@@ -75,7 +76,7 @@ def distinct_rows(columns) -> tuple[list[tuple], np.ndarray]:
     columns = [np.asarray(c) for c in columns]
     n = columns[0].shape[0]
     if n == 0:
-        return [], np.zeros(0, dtype=np.intp)
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
     order = np.lexsort(columns)
     new = np.zeros(n, dtype=bool)
     new[0] = True
@@ -89,6 +90,15 @@ def distinct_rows(columns) -> tuple[list[tuple], np.ndarray]:
     inverse = np.empty(n, dtype=np.intp)
     inverse[order] = rank[np.cumsum(new) - 1]
     firsts.sort()
+    return firsts, inverse
+
+
+def distinct_rows(columns) -> tuple[list[tuple], np.ndarray]:
+    """Distinct rows of one or more equal-length columns, as tuples in order
+    of first appearance, and each row's position in that list
+    (:func:`distinct_first` with the keys spelled out)."""
+    columns = [np.asarray(c) for c in columns]
+    firsts, inverse = distinct_first(columns)
     return list(zip(*(col[firsts].tolist() for col in columns))), inverse
 
 

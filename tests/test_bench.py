@@ -1,5 +1,6 @@
 import pytest
 
+from shiftscope import bench
 from shiftscope.bench import _suite_cells, evaluate_method, suite_fixture
 
 
@@ -38,3 +39,20 @@ class TestEvaluateMethod:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             evaluate_method("magic", None, None, None, 1)
+
+
+class TestSensitivityPairs:
+    def test_cells_of_a_seed_share_one_drawn_pair(self, monkeypatch):
+        drawn = {}
+        trial = bench.joint_trial
+
+        def recording_trial(base, model, shifted, n, seed, **kwargs):
+            assert seed not in drawn  # one draw per seed
+            drawn[seed] = trial(base, model, shifted, n, seed, **kwargs)
+            return drawn[seed]
+
+        monkeypatch.setattr(bench, "joint_trial", recording_trial)
+        items = list(_suite_cells("sensitivity", 2))
+        assert sorted(drawn) == [0, 1]
+        for _, seed, build, _, _ in items:
+            assert build() is drawn[seed]

@@ -11,6 +11,7 @@ from shiftscope.predictor import (
     predict,
     train_logistic,
 )
+from shiftscope.tabulate import distinct_first
 
 
 def toy_separable():
@@ -45,18 +46,22 @@ class TestTraining:
         assert np.ptp(probs, axis=0).max() < 1e-4  # per-row variation gone
 
     def test_gradient_matches_finite_differences(self, small_base):
-        x = design_matrix(small_base.schema, small_base.rows[:200])
-        y_idx = small_base.labels[:200] - 1
+        # the distinct (row, label) pairs of 200 rows, weighted by count
+        rows, labels = small_base.rows[:200], small_base.labels[:200]
+        first, inverse = distinct_first([*rows.T, labels])
+        counts = np.bincount(inverse).astype(float)
+        x = design_matrix(small_base.schema, rows[first])
+        y_idx = labels[first] - 1
         rng = np.random.default_rng(1)
         w = rng.standard_normal(x.shape[1] * 2) * 0.5
-        _, grad = logistic_loss_grad(w, x, y_idx, 1e-3)
+        _, grad = logistic_loss_grad(w, x, y_idx, counts, 1e-3)
         h = 1e-6
         for k in range(w.size):
             wp, wm = w.copy(), w.copy()
             wp[k] += h
             wm[k] -= h
-            lp, _ = logistic_loss_grad(wp, x, y_idx, 1e-3)
-            lm, _ = logistic_loss_grad(wm, x, y_idx, 1e-3)
+            lp, _ = logistic_loss_grad(wp, x, y_idx, counts, 1e-3)
+            lm, _ = logistic_loss_grad(wm, x, y_idx, counts, 1e-3)
             # abs floor covers central-difference cancellation noise
             assert grad[k] == pytest.approx((lp - lm) / (2 * h), rel=1e-5, abs=1e-8)
 
@@ -67,7 +72,7 @@ class TestTraining:
         for iters in (1, 10, 100):
             model = train_logistic(small_base, max_iters=iters)
             loss, _ = logistic_loss_grad(model.coef.reshape(-1), x, y_idx,
-                                         model.l2_lambda)
+                                         np.ones(small_base.n), model.l2_lambda)
             losses.append(loss)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
