@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import TabularDataset
+from .data import FeatureSchema, TabularDataset
 from .errors import DegenerateKernel, SingularConfusion, ValidationError
 from .predictor import one_hot, train_logistic
 from .tabulate import LABEL, PREDICTION, EmpiricalPmf, distinct_first, estimate_pmf
@@ -35,8 +35,7 @@ def _bbse_weight(w: np.ndarray) -> TableWeight:
     )
 
 
-def run_bbse(source: TabularDataset, target: TabularDataset,
-             alpha: float = 0.0) -> tuple[TableWeight, dict]:
+def run_bbse(source: TabularDataset, target: TabularDataset) -> tuple[TableWeight, dict]:
     """Solve the hard-prediction confusion system C w = mu for label weights.
 
     Negative solution entries are clipped to zero before renormalizing the
@@ -46,8 +45,8 @@ def run_bbse(source: TabularDataset, target: TabularDataset,
         raise ValidationError("BBSE needs source labels and predictions")
     if target.predictions is None:
         raise ValidationError("BBSE needs target predictions")
-    confusion = estimate_pmf(source, (PREDICTION, LABEL), alpha=alpha).mass
-    mu = estimate_pmf(target, (PREDICTION,), alpha=alpha).mass
+    confusion = estimate_pmf(source, (PREDICTION, LABEL)).mass
+    mu = estimate_pmf(target, (PREDICTION,)).mass
     label_marg = estimate_pmf(source, (LABEL,)).mass
     w, cond = _bbse_solve(confusion, mu, label_marg)
     return _bbse_weight(w), {"condition_number": cond, "min_class_weight": float(w.min())}
@@ -151,12 +150,9 @@ def run_kliep(source: TabularDataset, target: TabularDataset, centers: int = 100
     return weight, diag
 
 
-def run_dlu(source: TabularDataset, target: TabularDataset, l2_lambda: float = 1e-4,
-            max_iters: int = 2000, clip: float = 100.0) -> tuple[ModelRatioWeight, dict]:
+def run_dlu(source: TabularDataset, target: TabularDataset) -> tuple[ModelRatioWeight, dict]:
     """Discriminative reweighting: train a source-vs-target classifier on the
     union and convert its probability into a feature-only weight."""
-    from .data import FeatureSchema
-
     union_schema = FeatureSchema(
         columns=source.schema.columns,
         label_cardinality=2,
@@ -165,12 +161,8 @@ def run_dlu(source: TabularDataset, target: TabularDataset, l2_lambda: float = 1
     rows = np.vstack([source.rows, target.rows])
     domain = np.concatenate([np.ones(source.n, dtype=int), np.full(target.n, 2)])
     union = TabularDataset(schema=union_schema, rows=rows, labels=domain)
-    model = train_logistic(union, l2_lambda=l2_lambda, max_iters=max_iters)
-    weight = ModelRatioWeight(
-        model=model,
-        prior_ratio=source.n / max(target.n, 1),
-        clip_hi=clip,
-    ).normalized(source)
+    model = train_logistic(union)
+    weight = ModelRatioWeight(model, prior_ratio=source.n / max(target.n, 1)).normalized(source)
     diag = {
         "train_iterations": float(model.iterations),
         "train_converged": 1.0 if model.converged else 0.0,

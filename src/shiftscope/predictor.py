@@ -17,6 +17,10 @@ from .data import DISCRETE, FeatureSchema, TabularDataset, check_columns
 from .errors import MalformedRow, RowCountMismatch, ValidationError
 from .tabulate import distinct_first
 
+GRAD_TOL = 1e-8  # the logistic fit's one stop test, on the gradient norm
+ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
+ROUNDING = 1e-12  # a predicted decrease below this fraction of the loss is untestable
+
 
 def one_hot(schema: FeatureSchema, rows: np.ndarray, drop_first: bool = False) -> np.ndarray:
     """One indicator column per category of each discrete column (each
@@ -62,12 +66,11 @@ def logistic_loss_grad(w_flat: np.ndarray, x: np.ndarray, y_idx: np.ndarray,
     probs = _softmax(x @ w)
     picked = np.log(np.maximum(probs[np.arange(m), y_idx], 1e-300))
     nll = -float((counts * picked).sum()) / n
-    reg_mask = np.ones((p, 1))
-    reg_mask[-1] = 0.0
-    loss = nll + 0.5 * l2_lambda * float(((w * w) * reg_mask).sum())
+    loss = nll + 0.5 * l2_lambda * float((w[:-1] * w[:-1]).sum())
     resid = probs  # probs is not read again
     resid[np.arange(m), y_idx] -= 1.0
-    grad = x.T @ (resid * counts[:, None]) / n + l2_lambda * (w * reg_mask)
+    grad = x.T @ (resid * counts[:, None]) / n
+    grad[:-1] += l2_lambda * w[:-1]
     return loss, grad.reshape(-1)
 
 
@@ -87,14 +90,35 @@ class LogisticModel:
         object.__setattr__(self, "coef", coef)
 
 
-def train_logistic(ds: TabularDataset, l2_lambda: float = 1e-4,
-                   max_iters: int = 2000) -> LogisticModel:
-    """Full-batch gradient descent with backtracking from zero init, on the
-    distinct (row, label) pairs of ``ds`` weighted by their counts.
+def _hessian(w_flat: np.ndarray, x: np.ndarray, counts: np.ndarray,
+             l2_lambda: float) -> np.ndarray:
+    """Hessian of :func:`logistic_loss_grad`: ``sum_i (c_i/n) kron(x_i x_i^T,
+    diag(p_i) - p_i p_i^T)`` plus the ridge on the non-intercept coordinates."""
+    p = x.shape[1]
+    L = w_flat.size // p
+    probs = _softmax(x @ w_flat.reshape(p, L))
+    s = counts / counts.sum()
+    h = np.empty((p * L, p * L))
+    for c in range(L):  # one (p, p) block per pair of classes
+        for d in range(L):
+            h[c::L, d::L] = (x * (s * probs[:, c] * ((c == d) - probs[:, d]))[:, None]).T @ x
+    h[np.diag_indices(p * L - L)] += l2_lambda  # the intercept row comes last
+    return h
 
-    Deterministic: the same dataset always yields the same model. If the
-    gradient norm still exceeds 1e-4 at ``max_iters`` the model is returned
-    with ``converged=False``.
+
+def train_logistic(ds: TabularDataset, l2_lambda: float = 1e-4,
+                   max_iters: int = 100) -> LogisticModel:
+    """Damped Newton steps from zero init, on the distinct (row, label) pairs
+    of ``ds`` weighted by their counts.
+
+    The loss is flat along one direction, the same constant added to every
+    intercept. Each step pins it by holding the most frequent class's
+    intercept still (never an absent class's, whose intercept heads to -inf
+    as its curvature fades), then recentres the intercepts on 0. Armijo
+    backtracking keeps the loss from rising; a predicted decrease below
+    ``ROUNDING`` times the loss is lost in rounding, so the full step is
+    taken there. One test ends the loop and sets ``converged``: gradient norm
+    at most ``GRAD_TOL``. The same dataset always yields the same model.
     """
     if ds.labels is None:
         raise ValidationError("training needs labels")
@@ -107,31 +131,30 @@ def train_logistic(ds: TabularDataset, l2_lambda: float = 1e-4,
     x = design_matrix(ds.schema, ds.rows[first])
     y_idx = ds.labels[first] - 1
     w = np.zeros(x.shape[1] * L)
+    free = np.arange(w.size) != w.size - L + np.argmax(np.bincount(y_idx, counts, L))
     loss, grad = logistic_loss_grad(w, x, y_idx, counts, l2_lambda)
-    step = 1.0
     it = 0
-    for it in range(1, max_iters + 1):
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < 1e-6:
-            break
-        accepted = False
+    while np.linalg.norm(grad) > GRAD_TOL and it < max_iters:
+        it += 1
+        h = _hessian(w, x, counts, l2_lambda)[np.ix_(free, free)]
+        step = np.zeros_like(w)
+        step[free] = -np.linalg.solve(h, grad[free])
+        step[-L:] -= step[-L:].mean()
+        slope = float(grad @ step)
+        t = 1.0
         for _ in range(50):
-            w_new = w - step * grad
-            loss_new, grad_new = logistic_loss_grad(w_new, x, y_idx, counts, l2_lambda)
-            if loss_new <= loss:
-                w, loss, grad = w_new, loss_new, grad_new
-                step = min(step * 2.0, 1e4)
-                accepted = True
+            loss_new, grad_new = logistic_loss_grad(w + t * step, x, y_idx, counts, l2_lambda)
+            if loss_new <= loss + ARMIJO * t * slope or abs(slope) <= ROUNDING * loss:
+                w, loss, grad = w + t * step, loss_new, grad_new
                 break
-            step *= 0.5
-        if not accepted:
+            t *= 0.5
+        else:
             break
-    gnorm = float(np.linalg.norm(grad))
     return LogisticModel(
         schema=ds.schema,
         coef=w.reshape(x.shape[1], L),
         l2_lambda=l2_lambda,
-        converged=gnorm <= 1e-4,
+        converged=bool(np.linalg.norm(grad) <= GRAD_TOL),
         iterations=it,
     )
 

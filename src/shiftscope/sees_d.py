@@ -29,7 +29,6 @@ TIE_TOL = 1e-12
 class SeesDConfig:
     sparsity: int
     weight_bound: float = 20.0
-    min_mass_floor: float = 0.0
     solver_tol: float = 1e-10
     solver_max_iters: int = 10000
 
@@ -38,8 +37,6 @@ class SeesDConfig:
             raise ValidationError("sparsity must be >= 0")
         if self.weight_bound < 1:
             raise ValidationError("weight bound must be >= 1")
-        if self.min_mass_floor < 0:
-            raise ValidationError("min_mass_floor must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -220,13 +217,12 @@ def _blocks_for(tables, J, s: int):
 
 def _fit_blocks(tables, J, cfg: SeesDConfig) -> CandidateFit:
     L = tables.n_labels
-    floor = cfg.min_mass_floor
     table = {}
     distance = 0.0
     unconstrained = 0
     iterations = 0
     for xj, A, b in _blocks_for(tables, J, cfg.sparsity):
-        keep = (A.max(axis=1) > floor) | (b > floor)
+        keep = (A.max(axis=1) > 0) | (b > 0)
         A_k, b_k = A[keep], b[keep]
         w = np.ones(L)
         live = A_k.sum(axis=0) > 0 if A_k.size else np.zeros(L, dtype=bool)

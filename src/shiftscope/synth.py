@@ -188,8 +188,7 @@ def population_joint(dist: AnalyticDistribution, classifier,
                      include_label: bool = True) -> EmpiricalPmf:
     """Exact joint table over (features..., prediction[, label]).
 
-    ``classifier`` maps a 1-based value tuple to a class in {1..L};
-    ``sample_count`` is 0 to mark population mode.
+    ``classifier`` maps a 1-based value tuple to a class in {1..L}.
     """
     d = dist.schema.d
     L = dist.schema.n_labels
@@ -204,7 +203,7 @@ def population_joint(dist: AnalyticDistribution, classifier,
             idx = idx + (y - 1,)
         mass[idx] += float(m)
     axes = tuple(range(1, d + 1)) + (PREDICTION,) + ((LABEL,) if include_label else ())
-    return EmpiricalPmf(axes=axes, cardinalities=tuple(cards), mass=mass, sample_count=0)
+    return EmpiricalPmf(axes=axes, cardinalities=tuple(cards), mass=mass)
 
 
 def sample_analytic(dist: AnalyticDistribution, n: int, seed: int,

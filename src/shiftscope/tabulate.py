@@ -20,14 +20,12 @@ class EmpiricalPmf:
     """Normalized mass table over a tuple of axes.
 
     Each axis is a 1-based feature index, or one of the sentinels
-    ``PREDICTION`` / ``LABEL``. ``sample_count`` is 0 for population
-    (exact) tables.
+    ``PREDICTION`` / ``LABEL``.
     """
 
     axes: tuple
     cardinalities: tuple[int, ...]
     mass: np.ndarray
-    sample_count: int
 
     def __post_init__(self):
         object.__setattr__(self, "axes", tuple(self.axes))
@@ -57,12 +55,8 @@ class EmpiricalPmf:
         survivors = [i for i in range(len(self.axes)) if i not in drop]
         perm = [survivors.index(i) for i in keep]
         summed = np.transpose(summed, perm) if perm else summed.reshape(())
-        return EmpiricalPmf(
-            axes=axes,
-            cardinalities=tuple(self.cardinalities[i] for i in keep),
-            mass=summed,
-            sample_count=self.sample_count,
-        )
+        return EmpiricalPmf(axes=axes, mass=summed,
+                            cardinalities=tuple(self.cardinalities[i] for i in keep))
 
 
 def distinct_first(columns) -> tuple[np.ndarray, np.ndarray]:
@@ -134,18 +128,13 @@ def estimate_pmf(ds: TabularDataset, axes, alpha: float = 0.0) -> EmpiricalPmf:
     if n_cells > MAX_TABLE_CELLS:
         raise ValidationError(f"refusing to materialize table with {n_cells} cells")
     if not axes:
-        return EmpiricalPmf(axes=(), cardinalities=(), mass=np.array(1.0), sample_count=ds.n)
+        return EmpiricalPmf(axes=(), cardinalities=(), mass=np.array(1.0))
     if ds.n == 0 and alpha == 0.0:
         raise ValidationError("cannot estimate a pmf from an empty dataset")
     flat = np.ravel_multi_index(codes, cards) if ds.n else np.array([], dtype=int)
     counts = np.bincount(flat, minlength=n_cells).astype(float) + alpha
     mass = counts / counts.sum()
-    return EmpiricalPmf(
-        axes=axes,
-        cardinalities=tuple(cards),
-        mass=mass.reshape(cards),
-        sample_count=ds.n,
-    )
+    return EmpiricalPmf(axes=axes, cardinalities=tuple(cards), mass=mass.reshape(cards))
 
 
 @dataclass(frozen=True)

@@ -277,3 +277,17 @@ class TestBench:
                             "gap_sq_error,weight_mse,weight_pcc,recovered")
         assert len(lines) == 9  # header + one sees-d row per configured s in 0..7
         assert all(line.startswith("sensitivity,") for line in lines[1:])
+
+    @pytest.mark.parametrize("suite, rows", [
+        ("tradeoff", 15),  # 5 sample sizes x (sees-d, bbse, kliep)
+        ("sparsity", 12),  # true shift sizes 0-3 x (sees-d, bbse, kliep)
+        ("robustness", 15),  # label / covariate / joint shift x all five methods
+    ])
+    def test_other_suites_smoke(self, suite, rows, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--suite", suite, "--seeds", "1", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == ("suite,param,seed,method,delta_hat,delta_true,"
+                            "gap_sq_error,weight_mse,weight_pcc,recovered")
+        assert len(lines) == rows + 1
+        assert all(line.startswith(f"{suite},") for line in lines[1:])

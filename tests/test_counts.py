@@ -27,6 +27,9 @@ from shiftscope.data import (
 )
 from shiftscope.estimator import estimate_gap
 from shiftscope.predictor import (
+    ARMIJO,
+    GRAD_TOL,
+    ROUNDING,
     design_matrix,
     load_predictions,
     logistic_loss_grad,
@@ -89,39 +92,43 @@ def per_row_loss_grad(w_flat, x, y_idx, l2_lambda):
     return loss, (grad / n + l2_lambda * reg).reshape(-1)
 
 
-def per_row_train(ds, l2_lambda=1e-4, max_iters=2000):
-    """``train_logistic``'s descent with the loss averaged over every row."""
+def per_row_train(ds, l2_lambda=1e-4, max_iters=100):
+    """``train_logistic``'s damped Newton with the loss, gradient and Hessian
+    summed over every row."""
     x = design_matrix(ds.schema, ds.rows)
     y_idx = ds.labels - 1
     n, p = x.shape
     L = ds.schema.n_labels
-    reg_mask = np.ones((p, 1))
-    reg_mask[-1] = 0.0
+    reg = np.full((p, L), l2_lambda)
+    reg[-1] = 0.0
+    # every coordinate but the most frequent class's intercept
+    free = np.arange(p * L) != p * L - L + np.argmax(np.bincount(y_idx, minlength=L))
 
-    def loss_grad(w_flat):
+    def hessian(w_flat):
         w = w_flat.reshape(p, L)
-        z = x @ w
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        probs = e / e.sum(axis=1, keepdims=True)
-        loss = -float(np.mean(np.log(np.maximum(probs[np.arange(n), y_idx], 1e-300))))
-        loss += 0.5 * l2_lambda * float(((w * w) * reg_mask).sum())
-        probs[np.arange(n), y_idx] -= 1.0
-        return loss, (x.T @ probs / n + l2_lambda * (w * reg_mask)).reshape(-1)
+        h = np.zeros((p * L, p * L))
+        for xi in x:
+            z = xi @ w
+            prob = np.exp(z - z.max())
+            prob /= prob.sum()
+            h += np.kron(np.outer(xi, xi), np.diag(prob) - np.outer(prob, prob))
+        return h / n + np.diag(reg.reshape(-1))
 
     w = np.zeros(p * L)
-    loss, grad = loss_grad(w)
-    step, it = 1.0, 0
-    for it in range(1, max_iters + 1):
-        if float(np.linalg.norm(grad)) < 1e-6:
-            break
-        for _ in range(50):
-            w_new = w - step * grad
-            loss_new, grad_new = loss_grad(w_new)
-            if loss_new <= loss:
-                w, loss, grad = w_new, loss_new, grad_new
-                step = min(step * 2.0, 1e4)
+    loss, grad = per_row_loss_grad(w, x, y_idx, l2_lambda)
+    it = 0
+    while np.linalg.norm(grad) > GRAD_TOL and it < max_iters:
+        it += 1
+        h = hessian(w)[np.ix_(free, free)]
+        step = np.zeros(p * L)
+        step[free] = -np.linalg.solve(h, grad[free])
+        step[-L:] -= step[-L:].mean()
+        slope = float(grad @ step)
+        for t in 0.5 ** np.arange(50):
+            loss_new, grad_new = per_row_loss_grad(w + t * step, x, y_idx, l2_lambda)
+            if loss_new <= loss + ARMIJO * t * slope or abs(slope) <= ROUNDING * loss:
+                w, loss, grad = w + t * step, loss_new, grad_new
                 break
-            step *= 0.5
         else:
             break
     return w.reshape(p, L), it
@@ -188,10 +195,11 @@ def generic_datasets(draw):
 
     Tiny all-discrete sets can hold exact symmetries (two classes with
     mirror-image rows, say) that a change of summation order keeps or breaks
-    in rounding; a broken one sends the descent along a direction whose only
-    curvature is the ridge, and its path changes (a row shuffle moves the
-    per-row fit just the same). Generic values hold no such symmetry, so the
-    test sees only what the counts change.
+    in rounding; a broken one sent gradient descent along a direction whose
+    only curvature is the ridge, and its path changed. Newton steps scale
+    each direction by its own curvature, and the regression test of that
+    case lives in ``test_predictor.py``; generic values hold no such
+    symmetry, so this test sees only what the counts change.
     """
     L = draw(st.integers(2, 3))
     cards = draw(st.lists(st.integers(2, 3), min_size=0, max_size=2))
