@@ -9,10 +9,12 @@ from .data import FeatureSchema, TabularDataset
 from .errors import DegenerateKernel, SingularConfusion, ValidationError
 from .predictor import one_hot, train_logistic
 from .tabulate import LABEL, PREDICTION, EmpiricalPmf, distinct_first, estimate_pmf
-from .weights import KernelWeight, ModelRatioWeight, TableWeight
+from .weights import KernelWeight, ModelRatioWeight, TableWeight, gaussian_kernel, sq_distances
 
 CONDITION_LIMIT = 1e12
 EPS = 1e-12
+KLIEP_ITERS = 2500
+KLIEP_TOL = 1e-7  # least objective gain that counts as an improving step
 
 
 def _bbse_solve(confusion: np.ndarray, mu: np.ndarray, label_marg: np.ndarray):
@@ -66,17 +68,12 @@ def _median_pairwise(x: np.ndarray, limit: int = 1000) -> float:
     if x.shape[0] > limit:
         idx = np.unique(np.linspace(0, x.shape[0] - 1, num=limit).round().astype(int))
         x = x[idx]
-    sq = (
-        (x * x).sum(axis=1)[:, None]
-        - 2.0 * x @ x.T
-        + (x * x).sum(axis=1)[None, :]
-    )
     iu = np.triu_indices(x.shape[0], k=1)
-    return float(np.median(np.sqrt(np.maximum(sq[iu], 0.0))))
+    return float(np.median(np.sqrt(sq_distances(x, x)[iu])))
 
 
 def run_kliep(source: TabularDataset, target: TabularDataset, centers: int = 100,
-              max_iters: int = 2500, tol: float = 1e-7) -> tuple[KernelWeight, dict]:
+              max_iters: int = KLIEP_ITERS) -> tuple[KernelWeight, dict]:
     """Gaussian-kernel density-ratio fit of w(x), assuming covariate shift.
 
     Centers sit on evenly spaced target rows; the bandwidth is the median
@@ -97,20 +94,12 @@ def run_kliep(source: TabularDataset, target: TabularDataset, centers: int = 100
                     .round().astype(int))
     ctr = xt[idx]
 
-    def kernel(x):
-        sq = (
-            (x * x).sum(axis=1)[:, None]
-            - 2.0 * x @ ctr.T
-            + (ctr * ctr).sum(axis=1)[None, :]
-        )
-        return np.exp(-gamma * np.maximum(sq, 0.0))
-
     # the target enters only through its distinct rows, weighted by count
     first, inverse = distinct_first(target.rows.T)
     counts = np.bincount(inverse).astype(float)
     n_t = target.n
-    k_t = kernel(xt[first])
-    b = kernel(xs).mean(axis=0)  # source-mean of each kernel
+    k_t = gaussian_kernel(xt[first], ctr, gamma)
+    b = gaussian_kernel(xs, ctr, gamma).mean(axis=0)  # source-mean of each kernel
 
     b_sq = float(b @ b)
 
@@ -137,7 +126,7 @@ def run_kliep(source: TabularDataset, target: TabularDataset, centers: int = 100
             cand = project(alpha + step * grad)
             cand_value = objective(cand)
             if cand_value >= value - 1e-18:
-                improved = cand_value > value + tol
+                improved = cand_value > value + KLIEP_TOL
                 alpha, value = cand, cand_value
                 break
             step *= 0.5

@@ -12,11 +12,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
-from .baselines import run_bbse, run_dlu, run_kliep
-from .estimator import estimate_gap, score_gap, score_weights, select_features, source_accuracy
+from .estimator import run_method
 from .predictor import train_logistic
-from .sees_c import SeesCConfig, default_basis, run_sees_c
-from .sees_d import SeesDConfig, run_sees_d
 from .synth import (
     binary_base,
     boosted_marginal,
@@ -50,38 +47,18 @@ def thread_cap() -> int:
     return cap if cap > 0 else (os.cpu_count() or 1)
 
 
-def evaluate_method(method: str, source, target, truth, sparsity: int,
-                    eta: float = 0.001, weight_bound: float = 20.0) -> dict:
-    """Run one estimator on a prepared pair and score it against truth."""
-    if method == "sees-d":
-        cfg = SeesDConfig(sparsity=sparsity, weight_bound=weight_bound)
-        weight, selected, _ = run_sees_d(source, target, cfg)
-    elif method == "sees-c":
-        basis = default_basis(source.schema, reference=source)
-        weight, _ = run_sees_c(source, target, basis, SeesCConfig(eta=eta))
-        selected = select_features(weight, sparsity)
-    elif method == "bbse":
-        weight, _ = run_bbse(source, target)
-        selected = select_features(weight, sparsity)
-    elif method == "kliep":
-        weight, _ = run_kliep(source, target)
-        selected = ()
-    elif method == "dlu":
-        weight, _ = run_dlu(source, target)
-        selected = ()
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    delta = estimate_gap(source, weight)
-    acc = source_accuracy(source)
-    metrics = score_weights(weight, truth, source)
+def evaluate_method(method: str, source, target, truth, sparsity: int) -> dict:
+    """Run one method on a prepared pair; its report as a suite CSV row.
+    An unknown method raises ValueError."""
+    report = run_method(method, (source, target), (source, target), truth, sparsity)
     return {
         "method": method,
-        "delta_hat": delta,
-        "delta_true": truth.true_target_accuracy - acc,
-        "gap_sq_error": score_gap(delta, truth, acc),
-        "weight_mse": metrics["mse"],
-        "weight_pcc": metrics["pcc"],
-        "recovered": int(tuple(selected) == truth.true_shift_set),
+        "delta_hat": report.delta_hat,
+        "delta_true": truth.true_target_accuracy - report.source_accuracy,
+        "gap_sq_error": report.diagnostics["gap_sq_error"],
+        "weight_mse": report.weight_metrics["mse"],
+        "weight_pcc": report.weight_metrics["pcc"],
+        "recovered": int(report.selected_features == truth.true_shift_set),
     }
 
 

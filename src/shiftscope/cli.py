@@ -1,9 +1,10 @@
 """Command-line surface: estimate, simulate, bench.
 
-Reports are JSON documents with the stable keys ``method``, ``delta_hat``,
-``source_accuracy``, ``selected_features``, ``diagnostics`` and
-``weight_metrics``; errors print a single ``ERROR <CATEGORY>: detail``
-line and exit 2 for input problems, 1 for anything else.
+Each command reads its files, hands the work to the library
+(``estimator.run_method`` builds every report) and writes the result.
+With ``--method all`` a method that fails leaves an error entry in place
+of its report. Errors print a single ``ERROR <CATEGORY>: detail`` line and
+exit 2 for input problems, 1 for anything else.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ import sys
 from dataclasses import dataclass
 
 from . import bench
-from .baselines import run_bbse, run_dlu, run_kliep
+from .baselines import KLIEP_ITERS
 from .data import (
     DISCRETE,
     FeatureSchema,
-    ShiftReport,
     TabularDataset,
     align_schemas,
     decode_code,
@@ -29,23 +29,13 @@ from .data import (
     validate_dataset,
 )
 from .errors import InputError, ShiftScopeError, ValidationError
-from .estimator import (
-    GroundTruth,
-    estimate_gap,
-    score_gap,
-    score_weights,
-    select_features,
-    source_accuracy,
-)
+from .estimator import METHODS, GroundTruth, run_method
 from .predictor import load_predictions, predict, train_logistic
-from .sees_c import SeesCConfig, default_basis, run_sees_c
-from .sees_d import SeesDConfig, run_sees_d
+from .sees_c import SeesCConfig
+from .sees_d import SeesDConfig
 from .synth import ShiftSpec, draw_pair, score_target
 from .tabulate import apply_discretizer, fit_discretizer
 from .weights import TableWeight
-
-METHODS = ("sees-d", "sees-c", "bbse", "kliep", "dlu")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -55,10 +45,10 @@ class RunConfig:
     output_path: str
     method: str = "sees-d"
     sparsity: int = 1
-    eta: float = 0.001
+    eta: float = SeesCConfig.eta
     bins: int = 5
-    weight_bound: float = 20.0
-    kliep_iters: int = 2500
+    weight_bound: float = SeesDConfig.weight_bound
+    kliep_iters: int = KLIEP_ITERS
     predictions_path: str | None = None
     truth_path: str | None = None
 
@@ -158,48 +148,6 @@ def _check(ds: TabularDataset, name: str) -> None:
         raise ValidationError(f"{name}: " + "; ".join(findings[:5]))
 
 
-def _run_one_method(method: str, cfg: RunConfig, raw_pair, disc_pair, truth):
-    source_raw, target_raw = raw_pair
-    source, target = disc_pair
-    if method == "sees-d":
-        dcfg = SeesDConfig(sparsity=cfg.sparsity, weight_bound=cfg.weight_bound)
-        weight, selected, diag = run_sees_d(source, target, dcfg)
-        eval_ds = source
-    elif method == "sees-c":
-        basis = default_basis(source_raw.schema, reference=source_raw)
-        weight, diag = run_sees_c(source_raw, target_raw, basis, SeesCConfig(eta=cfg.eta))
-        selected = select_features(weight, cfg.sparsity)
-        eval_ds = source_raw
-    elif method == "bbse":
-        weight, diag = run_bbse(source, target)
-        selected = select_features(weight, cfg.sparsity)
-        eval_ds = source
-    elif method == "kliep":
-        weight, diag = run_kliep(source_raw, target_raw, max_iters=cfg.kliep_iters)
-        selected = ()
-        eval_ds = source_raw
-    else:  # dlu
-        weight, diag = run_dlu(source, target)
-        selected = ()
-        eval_ds = source
-    delta = estimate_gap(eval_ds, weight)
-    acc = source_accuracy(eval_ds)
-    weight_metrics = None
-    if truth is not None:
-        weight_metrics = score_weights(weight, truth, eval_ds)
-        if truth.true_target_accuracy is not None:
-            diag = dict(diag)
-            diag["gap_sq_error"] = score_gap(delta, truth, acc)
-    return ShiftReport(
-        method=method,
-        delta_hat=delta,
-        source_accuracy=acc,
-        selected_features=selected,
-        diagnostics=diag,
-        weight_metrics=weight_metrics,
-    )
-
-
 def cmd_estimate(cfg: RunConfig) -> None:
     schema = load_schema(cfg.schema_path)
     source = load_dataset(cfg.source_path, schema)
@@ -232,12 +180,20 @@ def cmd_estimate(cfg: RunConfig) -> None:
         disc_target = apply_discretizer(disc, target)
 
     truth = load_truth(cfg.truth_path, schema) if cfg.truth_path else None
-    methods = list(METHODS) if cfg.method == "all" else [cfg.method]
-    reports = [
-        _run_one_method(m, cfg, (source, target), (disc_source, disc_target), truth)
-        for m in methods
-    ]
-    payload = reports[0].to_dict() if len(reports) == 1 else [r.to_dict() for r in reports]
+    methods = METHODS if cfg.method == "all" else (cfg.method,)
+    entries, errors = [], []
+    for m in methods:
+        try:
+            entries.append(run_method(m, (source, target), (disc_source, disc_target), truth,
+                                      cfg.sparsity, cfg.eta, cfg.weight_bound,
+                                      cfg.kliep_iters).to_dict())
+        except ShiftScopeError as exc:
+            errors.append(exc)
+            entries.append({"method": m,
+                            "error": {"category": exc.category, "message": str(exc)}})
+    if len(errors) == len(methods):
+        raise errors[0]
+    payload = entries[0] if len(entries) == 1 else entries
     with open(cfg.output_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -277,12 +233,12 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--target-path", required=True)
     est.add_argument("--schema-path", required=True)
     est.add_argument("--output-path", required=True)
-    est.add_argument("--method", default="sees-d", choices=METHODS + ("all",))
-    est.add_argument("--sparsity", type=int, default=1)
-    est.add_argument("--eta", type=float, default=0.001)
-    est.add_argument("--bins", type=int, default=5)
-    est.add_argument("--weight-bound", type=float, default=20.0)
-    est.add_argument("--kliep-iters", type=int, default=2500)
+    est.add_argument("--method", default=RunConfig.method, choices=METHODS + ("all",))
+    est.add_argument("--sparsity", type=int, default=RunConfig.sparsity)
+    est.add_argument("--eta", type=float, default=RunConfig.eta)
+    est.add_argument("--bins", type=int, default=RunConfig.bins)
+    est.add_argument("--weight-bound", type=float, default=RunConfig.weight_bound)
+    est.add_argument("--kliep-iters", type=int, default=RunConfig.kliep_iters)
     est.add_argument("--predictions-path", default=None,
                      help="external predictions: SOURCE_CSV,TARGET_CSV")
     est.add_argument("--truth-path", default=None,

@@ -1,4 +1,5 @@
-"""Gap calculation, shifted-feature selection, and evaluation metrics."""
+"""The one method runner, gap calculation, shifted-feature selection, and
+evaluation metrics."""
 
 from __future__ import annotations
 
@@ -7,9 +8,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TabularDataset
+from .baselines import KLIEP_ITERS, run_bbse, run_dlu, run_kliep
+from .data import ShiftReport, TabularDataset
 from .errors import MissingTruth, ValidationError
+from .sees_c import SeesCConfig, default_basis, feature_scores, run_sees_c
+from .sees_d import SeesDConfig, run_sees_d
 from .weights import BasisWeight, TableWeight, WeightFunction
+
+METHODS = ("sees-d", "sees-c", "bbse", "kliep", "dlu")
 
 
 @dataclass(frozen=True)
@@ -56,8 +62,6 @@ def select_features(w: WeightFunction, s: int) -> tuple[int, ...]:
     if isinstance(w, BasisWeight):
         if s <= 0:
             return ()
-        from .sees_c import feature_scores
-
         beta = feature_scores(w.coefficients, w.basis)
         order = sorted(range(1, len(beta) + 1), key=lambda i: (-beta[i - 1], i))
         return tuple(sorted(order[:s]))
@@ -87,3 +91,43 @@ def score_gap(delta_hat: float, truth: GroundTruth, source_acc: float) -> float:
         raise MissingTruth("ground truth has no target accuracy")
     delta_true = truth.true_target_accuracy - source_acc
     return float((delta_hat - delta_true) ** 2)
+
+
+def run_method(method: str, raw_pair, disc_pair, truth: GroundTruth | None, sparsity: int,
+               eta: float = SeesCConfig.eta, weight_bound: float = SeesDConfig.weight_bound,
+               kliep_iters: int = KLIEP_ITERS) -> ShiftReport:
+    """Fit one method's weight, estimate the gap, and score it against truth.
+
+    sees-c and kliep read the raw (source, target) pair; sees-d, bbse and
+    dlu read the discretized one. With truth the report adds weight
+    MSE/PCC and, when the truth has a target accuracy, ``gap_sq_error``.
+    """
+    source, target = raw_pair if method in ("sees-c", "kliep") else disc_pair
+    if method == "sees-d":
+        weight, selected, diag = run_sees_d(
+            source, target, SeesDConfig(sparsity=sparsity, weight_bound=weight_bound))
+    elif method == "sees-c":
+        basis = default_basis(source.schema, reference=source)
+        weight, diag = run_sees_c(source, target, basis, SeesCConfig(eta=eta))
+        selected = select_features(weight, sparsity)
+    elif method == "bbse":
+        weight, diag = run_bbse(source, target)
+        selected = select_features(weight, sparsity)
+    elif method == "kliep":
+        weight, diag = run_kliep(source, target, max_iters=kliep_iters)
+        selected = ()
+    elif method == "dlu":
+        weight, diag = run_dlu(source, target)
+        selected = ()
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    delta = estimate_gap(source, weight)
+    acc = source_accuracy(source)
+    weight_metrics = None
+    if truth is not None:
+        weight_metrics = score_weights(weight, truth, source)
+        if truth.true_target_accuracy is not None:
+            diag = {**diag, "gap_sq_error": score_gap(delta, truth, acc)}
+    return ShiftReport(method=method, delta_hat=delta, source_accuracy=acc,
+                       selected_features=selected, diagnostics=diag,
+                       weight_metrics=weight_metrics)

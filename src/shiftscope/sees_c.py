@@ -122,21 +122,21 @@ def _shifted_linear(j: int, shift: float):
     return fn
 
 
+STEP_SIZE = 0.1  # first step tried by each backtracking search
+TOL = 1e-9  # one step's objective gain below this ends the ascent
+PROB_FLOOR = 1e-8  # floor on the target likelihood surrogate inside the log
+
+
 @dataclass(frozen=True)
 class SeesCConfig:
     eta: float = 0.001
-    step_size: float = 0.1
     max_iters: int = 5000
-    tol: float = 1e-9
-    prob_floor: float = 1e-8
 
     def __post_init__(self):
         if self.eta < 0:
             raise ValidationError("eta must be >= 0")
-        if self.step_size <= 0 or self.max_iters <= 0 or self.tol <= 0:
-            raise ValidationError("step_size, max_iters, tol must be positive")
-        if not 0.0 < self.prob_floor <= 1e-2:
-            raise ValidationError("prob_floor must lie in (0, 1e-2]")
+        if self.max_iters <= 0:
+            raise ValidationError("max_iters must be positive")
 
 
 def _group_norms(a: np.ndarray, groups) -> np.ndarray:
@@ -183,8 +183,8 @@ class _Problem:
         inner = np.zeros(self.counts.size)
         for y in range(self.L):
             inner += self.pt[:, y] * (self.phi_t[y] @ a[:, y])
-        floored = inner < cfg.prob_floor
-        safe = np.maximum(inner, cfg.prob_floor)
+        floored = inner < PROB_FLOOR
+        safe = np.maximum(inner, PROB_FLOOR)
         value = float((self.counts * np.log(safe)).sum()) / self.n_t
         coef = np.where(floored, 0.0, self.counts / safe) / self.n_t
         grad = np.empty_like(a)
@@ -241,7 +241,7 @@ def run_sees_c(source: TabularDataset, target: TabularDataset, basis: BasisSet,
     accepted only if it does not decrease the objective, so the objective
     sequence is nondecreasing. Returns the fitted weight and diagnostics
     (final objective, constraint residual, iterations, non_convergence flag).
-    The flag is 1 when the iteration cap, not the ``tol`` test, ended the
+    The flag is 1 when the iteration cap, not the ``TOL`` test, ended the
     ascent, when an accepted step came from a failed projection, or when the
     final constraint residual exceeds 1e-6.
     """
@@ -258,7 +258,7 @@ def run_sees_c(source: TabularDataset, target: TabularDataset, basis: BasisSet,
     projection_failed = False
     converged = False
     for iterations in range(1, cfg.max_iters + 1):
-        step = cfg.step_size
+        step = STEP_SIZE
         gain = 0.0
         for _ in range(40):
             cand, ok = problem.project(a + step * grad)
@@ -270,7 +270,7 @@ def run_sees_c(source: TabularDataset, target: TabularDataset, basis: BasisSet,
                 a, value, grad = cand, cand_value, cand_grad
                 break
             step *= 0.5
-        if gain < cfg.tol:
+        if gain < TOL:
             converged = True
             break
     residual = abs(float((problem.constraint * a).sum()) - 1.0)

@@ -23,14 +23,14 @@ from .tabulate import (LABEL, MAX_TABLE_CELLS, PREDICTION, EmpiricalPmf, _axis_c
 from .weights import TableWeight
 
 TIE_TOL = 1e-12
+SOLVER_TOL = 1e-10  # a box least-squares step moving no weight by more ends it
+SOLVER_MAX_ITERS = 10000
 
 
 @dataclass(frozen=True)
 class SeesDConfig:
     sparsity: int
     weight_bound: float = 20.0
-    solver_tol: float = 1e-10
-    solver_max_iters: int = 10000
 
     def __post_init__(self):
         if self.sparsity < 0:
@@ -129,8 +129,7 @@ class _Tables:
         return self._marginal(self.source, [j - 1 for j in J] + [self.d + 1])
 
 
-def _box_ls(A: np.ndarray, b: np.ndarray, hi: float, tol: float,
-            max_iters: int) -> tuple[np.ndarray, float, int]:
+def _box_ls(A: np.ndarray, b: np.ndarray, hi: float) -> tuple[np.ndarray, float, int]:
     """min ||A w - b||^2 over the box [0, hi]^k.
 
     Projected gradient with exact line search on the quadratic, halving the
@@ -155,7 +154,7 @@ def _box_ls(A: np.ndarray, b: np.ndarray, hi: float, tol: float,
     w = np.clip(sol, 0.0, hi)
     f = obj(w)
     iters = 0
-    for iters in range(1, max_iters + 1):
+    for iters in range(1, SOLVER_MAX_ITERS + 1):
         g = 2.0 * (AtA @ w - Atb)
         denom = 2.0 * float(g @ (AtA @ g))
         if denom <= 0.0:
@@ -174,7 +173,7 @@ def _box_ls(A: np.ndarray, b: np.ndarray, hi: float, tol: float,
         step = float(np.max(np.abs(w_new - w)))
         gain = f - f_new
         w, f = w_new, f_new
-        if step < tol or gain < 1e-16 * (1.0 + f):
+        if step < SOLVER_TOL or gain < 1e-16 * (1.0 + f):
             break
 
     g = 2.0 * (AtA @ w - Atb)
@@ -228,9 +227,7 @@ def _fit_blocks(tables, J, cfg: SeesDConfig) -> CandidateFit:
         live = A_k.sum(axis=0) > 0 if A_k.size else np.zeros(L, dtype=bool)
         unconstrained += int(L - live.sum())
         if live.any():
-            sol, resid, iters = _box_ls(
-                A_k[:, live], b_k, cfg.weight_bound, cfg.solver_tol, cfg.solver_max_iters
-            )
+            sol, resid, iters = _box_ls(A_k[:, live], b_k, cfg.weight_bound)
             w[live] = sol
             distance += resid
             iterations += iters

@@ -18,6 +18,21 @@ from .data import TabularDataset
 from .errors import ValidationError
 from .tabulate import distinct_rows
 
+CLIP_HI = 100.0  # cap on a classifier-ratio weight
+
+
+def sq_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, m) squared Euclidean distances between the rows of ``x`` and of
+    ``centers``, clipped at 0 against rounding."""
+    sq = (x * x).sum(axis=1)[:, None] - 2.0 * x @ centers.T
+    sq += (centers * centers).sum(axis=1)[None, :]
+    return np.maximum(sq, 0.0, out=sq)
+
+
+def gaussian_kernel(x: np.ndarray, centers: np.ndarray, gamma: float) -> np.ndarray:
+    """(n, m) matrix exp(-gamma * ||x_i - c_j||^2)."""
+    return np.exp(-gamma * sq_distances(x, centers))
+
 
 class WeightFunction:
     """Shared surface: per-row evaluation plus source-mean normalization."""
@@ -124,13 +139,7 @@ class KernelWeight(WeightFunction):
     scale: float = 1.0
 
     def weights_for(self, ds: TabularDataset) -> np.ndarray:
-        x = self.encoder(ds)
-        sq = (
-            (x * x).sum(axis=1)[:, None]
-            - 2.0 * x @ self.centers.T
-            + (self.centers * self.centers).sum(axis=1)[None, :]
-        )
-        k = np.exp(-self.gamma * np.maximum(sq, 0.0))
+        k = gaussian_kernel(self.encoder(ds), self.centers, self.gamma)
         return self.scale * (k @ self.alphas)
 
     def _scaled(self, factor: float) -> "KernelWeight":
@@ -139,11 +148,10 @@ class KernelWeight(WeightFunction):
 
 @dataclass(frozen=True)
 class ModelRatioWeight(WeightFunction):
-    """w(x) = scale * clip(rho/(1-rho) * prior_ratio) from a domain classifier."""
+    """w(x) = scale * clip(rho/(1-rho) * prior_ratio, 0, CLIP_HI) from a domain classifier."""
 
     model: object  # predictor.LogisticModel scoring P(target | x)
     prior_ratio: float
-    clip_hi: float = 100.0
     scale: float = 1.0
 
     def weights_for(self, ds: TabularDataset) -> np.ndarray:
@@ -151,7 +159,7 @@ class ModelRatioWeight(WeightFunction):
 
         rho = predict_probs(self.model, ds)[:, 1]
         raw = rho / np.maximum(1.0 - rho, 1e-12) * self.prior_ratio
-        return self.scale * np.clip(raw, 0.0, self.clip_hi)
+        return self.scale * np.clip(raw, 0.0, CLIP_HI)
 
     def _scaled(self, factor: float) -> "ModelRatioWeight":
         return replace(self, scale=self.scale * factor)

@@ -166,6 +166,64 @@ class TestEstimate:
         ]
         assert all(isinstance(r["delta_hat"], float) for r in reports)
 
+    def test_method_all_keeps_the_methods_that_succeed(self, workspace, tmp_path):
+        # a constant external predictor leaves bbse's confusion matrix singular
+        run_simulate(workspace)
+        preds = tmp_path / "preds.csv"
+        preds.write_text("pred,p_1,p_2\n" + "1,0.9,0.1\n" * 4000)
+        out = tmp_path / "all.json"
+        code = self.estimate(workspace, out, method="all",
+                             extra=("--predictions-path", f"{preds},{preds}"))
+        assert code == 0
+        entries = json.loads(out.read_text())
+        assert [e["method"] for e in entries] == ["sees-d", "sees-c", "bbse", "kliep", "dlu"]
+        failed = entries.pop(2)
+        assert set(failed) == {"method", "error"}
+        assert failed["error"]["category"] == "SINGULAR_CONFUSION"
+        assert failed["error"]["message"].startswith("confusion matrix condition number")
+        assert all(isinstance(e["delta_hat"], float) for e in entries)
+
+    def test_method_all_fails_when_every_method_fails(self, workspace, tmp_path, capsys,
+                                                      monkeypatch):
+        import shiftscope.cli
+        from shiftscope.errors import SingularConfusion
+
+        def fail(method, *args):
+            raise SingularConfusion(f"{method} failed")
+
+        monkeypatch.setattr(shiftscope.cli, "run_method", fail)
+        run_simulate(workspace)
+        out = tmp_path / "all.json"
+        assert self.estimate(workspace, out, method="all") == 1
+        assert capsys.readouterr().err == "ERROR SINGULAR_CONFUSION: sees-d failed\n"
+        assert not out.exists()
+
+    def test_estimate_and_bench_score_each_method_alike(self, workspace, tmp_path):
+        from shiftscope.bench import evaluate_method
+        from shiftscope.cli import load_truth
+        from shiftscope.data import load_dataset, load_schema
+        from shiftscope.predictor import predict, train_logistic
+
+        run_simulate(workspace)
+        truth_path = workspace / "sim.truth.json"
+        out = tmp_path / "all.json"
+        assert self.estimate(workspace, out, method="all",
+                             extra=("--truth-path", str(truth_path))) == 0
+        schema = load_schema(workspace / "schema.json")
+        source = load_dataset(workspace / "sim.source.csv", schema)
+        target = load_dataset(workspace / "sim.target.csv", schema).without_labels()
+        model = train_logistic(source)
+        source, target = predict(model, source), predict(model, target)
+        truth = load_truth(truth_path, schema)
+        for report in json.loads(out.read_text()):
+            row = evaluate_method(report["method"], source, target, truth, 1)
+            assert report["delta_hat"] == row["delta_hat"]
+            assert report["diagnostics"]["gap_sq_error"] == row["gap_sq_error"]
+            assert report["weight_metrics"] == {"mse": row["weight_mse"],
+                                                "pcc": row["weight_pcc"]}
+            assert row["recovered"] == int(
+                tuple(report["selected_features"]) == truth.true_shift_set)
+
     def test_missing_target_file(self, workspace, tmp_path, capsys):
         code = main([
             "estimate",

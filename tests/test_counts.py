@@ -139,8 +139,8 @@ def per_row_sees_c(a, phi, probs, groups, cfg):
     entering on its own: ``phi`` is the (L, n, K) basis stack of all rows."""
     n = probs.shape[0]
     inner = sum(probs[:, y] * (phi[y] @ a[:, y]) for y in range(probs.shape[1]))
-    floored = inner < cfg.prob_floor
-    safe = np.maximum(inner, cfg.prob_floor)
+    floored = inner < sees_c.PROB_FLOOR
+    safe = np.maximum(inner, sees_c.PROB_FLOOR)
     value = float(np.mean(np.log(safe)))
     coef = np.where(floored, 0.0, 1.0 / safe) / n
     grad = np.column_stack([phi[y].T @ (coef * probs[:, y]) for y in range(probs.shape[1])])
