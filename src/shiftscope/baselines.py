@@ -8,13 +8,14 @@ import numpy as np
 from .data import FeatureSchema, TabularDataset
 from .errors import DegenerateKernel, SingularConfusion, ValidationError
 from .predictor import one_hot, train_logistic
+from .sees_c import project_feasible, projected_ascent
 from .tabulate import LABEL, PREDICTION, EmpiricalPmf, distinct_first, estimate_pmf
 from .weights import KernelWeight, ModelRatioWeight, TableWeight, gaussian_kernel, sq_distances
 
 CONDITION_LIMIT = 1e12
 EPS = 1e-12
 KLIEP_ITERS = 2500
-KLIEP_TOL = 1e-7  # least objective gain that counts as an improving step
+KLIEP_TOL = 1e-7  # one step's objective gain below this ends the ascent
 
 
 def _bbse_solve(confusion: np.ndarray, mu: np.ndarray, label_marg: np.ndarray):
@@ -78,8 +79,12 @@ def run_kliep(source: TabularDataset, target: TabularDataset, centers: int = 100
 
     Centers sit on evenly spaced target rows; the bandwidth is the median
     pairwise distance over a bounded subsample of the pooled data. The
-    log-likelihood ascent backtracks, so accepted objectives never decrease.
+    log-likelihood is fitted by sees-c's ``projected_ascent``, whose accepted
+    objectives never decrease; ``non_convergence`` is 1 when ``max_iters``,
+    not ``KLIEP_TOL``, ended it.
     """
+    if max_iters <= 0:
+        raise ValidationError("max_iters must be positive")
     schema = source.schema
 
     def encode(ds: TabularDataset) -> np.ndarray:
@@ -101,41 +106,17 @@ def run_kliep(source: TabularDataset, target: TabularDataset, centers: int = 100
     k_t = gaussian_kernel(xt[first], ctr, gamma)
     b = gaussian_kernel(xs, ctr, gamma).mean(axis=0)  # source-mean of each kernel
 
-    b_sq = float(b @ b)
+    def value_grad(alpha):
+        safe = np.maximum(k_t @ alpha, EPS)
+        value = float((counts * np.log(safe)).sum()) / n_t
+        return value, k_t.T @ (counts / safe) / n_t
 
-    def project(alpha):
-        alpha = alpha + b * (1.0 - float(b @ alpha)) / b_sq
-        alpha = np.maximum(alpha, 0.0)
-        s = float(b @ alpha)
-        if s <= 0:
-            alpha = np.ones_like(alpha)
-            s = float(b @ alpha)
-        return alpha / s
-
-    def objective(alpha):
-        return float((counts * np.log(np.maximum(k_t @ alpha, EPS))).sum()) / n_t
-
-    alpha = project(np.ones(ctr.shape[0]))
-    value = objective(alpha)
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        grad = k_t.T @ (counts / np.maximum(k_t @ alpha, EPS)) / n_t
-        step = 1.0
-        improved = False
-        for _ in range(40):
-            cand = project(alpha + step * grad)
-            cand_value = objective(cand)
-            if cand_value >= value - 1e-18:
-                improved = cand_value > value + KLIEP_TOL
-                alpha, value = cand, cand_value
-                break
-            step *= 0.5
-        if not improved:
-            break
+    alpha, value, iterations, converged = projected_ascent(
+        value_grad, b, project_feasible(np.ones(ctr.shape[0]), b), 1.0, KLIEP_TOL, max_iters)
     weight = KernelWeight(centers=ctr, alphas=alpha, gamma=gamma, encoder=encode)
     weight = weight.normalized(source)
     diag = {"objective": value, "iterations": float(iterations), "bandwidth": sigma,
-            "centers": float(ctr.shape[0])}
+            "centers": float(ctr.shape[0]), "non_convergence": 0.0 if converged else 1.0}
     return weight, diag
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import bench
 from .baselines import KLIEP_ITERS
@@ -36,30 +35,6 @@ from .sees_d import SeesDConfig
 from .synth import ShiftSpec, draw_pair, score_target
 from .tabulate import apply_discretizer, fit_discretizer
 from .weights import TableWeight
-
-@dataclass(frozen=True)
-class RunConfig:
-    source_path: str
-    target_path: str
-    schema_path: str
-    output_path: str
-    method: str = "sees-d"
-    sparsity: int = 1
-    eta: float = SeesCConfig.eta
-    bins: int = 5
-    weight_bound: float = SeesDConfig.weight_bound
-    kliep_iters: int = KLIEP_ITERS
-    predictions_path: str | None = None
-    truth_path: str | None = None
-
-    def __post_init__(self):
-        for name in ("source_path", "target_path", "schema_path", "output_path"):
-            if not getattr(self, name):
-                raise ValidationError(f"{name} must be nonempty")
-        if self.sparsity < 0 or self.eta < 0:
-            raise ValidationError("sparsity and eta must be >= 0")
-        if self.method not in METHODS + ("all",):
-            raise ValidationError(f"unknown method {self.method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +123,19 @@ def _check(ds: TabularDataset, name: str) -> None:
         raise ValidationError(f"{name}: " + "; ".join(findings[:5]))
 
 
-def cmd_estimate(cfg: RunConfig) -> None:
-    schema = load_schema(cfg.schema_path)
-    source = load_dataset(cfg.source_path, schema)
-    target = load_dataset(cfg.target_path, schema)
+def cmd_estimate(args: argparse.Namespace) -> None:
+    """Run the ``estimate`` command on parsed arguments. Every flag is checked
+    before the data are read, so a bad flag fails the same way for any
+    ``--method``."""
+    schema = load_schema(args.schema_path)
+    if not 0 <= args.sparsity <= schema.d:
+        raise ValidationError(f"--sparsity must lie in 0..{schema.d} (the feature count)")
+    for flag, value, least in (("--eta", args.eta, 0), ("--weight-bound", args.weight_bound, 1),
+                               ("--kliep-iters", args.kliep_iters, 1), ("--bins", args.bins, 2)):
+        if not value >= least:
+            raise ValidationError(f"{flag} must be >= {least}")
+    source = load_dataset(args.source_path, schema)
+    target = load_dataset(args.target_path, schema)
     if source.labels is None:
         raise ValidationError("source file has no label column")
     target = target.without_labels()
@@ -159,8 +143,8 @@ def cmd_estimate(cfg: RunConfig) -> None:
     _check(target, "target")
     align_schemas(source, target)
 
-    if cfg.predictions_path:
-        parts = cfg.predictions_path.split(",")
+    if args.predictions_path:
+        parts = args.predictions_path.split(",")
         if len(parts) != 2:
             raise ValidationError(
                 "--predictions-path takes SOURCE_CSV,TARGET_CSV (two files)"
@@ -175,18 +159,18 @@ def cmd_estimate(cfg: RunConfig) -> None:
     if schema.all_discrete():
         disc_source, disc_target = source, target
     else:
-        disc = fit_discretizer(source, cfg.bins)
+        disc = fit_discretizer(source, args.bins)
         disc_source = apply_discretizer(disc, source)
         disc_target = apply_discretizer(disc, target)
 
-    truth = load_truth(cfg.truth_path, schema) if cfg.truth_path else None
-    methods = METHODS if cfg.method == "all" else (cfg.method,)
+    truth = load_truth(args.truth_path, schema) if args.truth_path else None
+    methods = METHODS if args.method == "all" else (args.method,)
     entries, errors = [], []
     for m in methods:
         try:
             entries.append(run_method(m, (source, target), (disc_source, disc_target), truth,
-                                      cfg.sparsity, cfg.eta, cfg.weight_bound,
-                                      cfg.kliep_iters).to_dict())
+                                      args.sparsity, args.eta, args.weight_bound,
+                                      args.kliep_iters).to_dict())
         except ShiftScopeError as exc:
             errors.append(exc)
             entries.append({"method": m,
@@ -194,10 +178,10 @@ def cmd_estimate(cfg: RunConfig) -> None:
     if len(errors) == len(methods):
         raise errors[0]
     payload = entries[0] if len(entries) == 1 else entries
-    with open(cfg.output_path, "w") as fh:
+    with open(args.output_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {cfg.output_path}")
+    print(f"wrote {args.output_path}")
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +217,12 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--target-path", required=True)
     est.add_argument("--schema-path", required=True)
     est.add_argument("--output-path", required=True)
-    est.add_argument("--method", default=RunConfig.method, choices=METHODS + ("all",))
-    est.add_argument("--sparsity", type=int, default=RunConfig.sparsity)
-    est.add_argument("--eta", type=float, default=RunConfig.eta)
-    est.add_argument("--bins", type=int, default=RunConfig.bins)
-    est.add_argument("--weight-bound", type=float, default=RunConfig.weight_bound)
-    est.add_argument("--kliep-iters", type=int, default=RunConfig.kliep_iters)
+    est.add_argument("--method", default="sees-d", choices=METHODS + ("all",))
+    est.add_argument("--sparsity", type=int, default=1)
+    est.add_argument("--eta", type=float, default=SeesCConfig.eta)
+    est.add_argument("--bins", type=int, default=5)
+    est.add_argument("--weight-bound", type=float, default=SeesDConfig.weight_bound)
+    est.add_argument("--kliep-iters", type=int, default=KLIEP_ITERS)
     est.add_argument("--predictions-path", default=None,
                      help="external predictions: SOURCE_CSV,TARGET_CSV")
     est.add_argument("--truth-path", default=None,
@@ -264,21 +248,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "estimate":
-            cfg = RunConfig(
-                source_path=args.source_path,
-                target_path=args.target_path,
-                schema_path=args.schema_path,
-                output_path=args.output_path,
-                method=args.method,
-                sparsity=args.sparsity,
-                eta=args.eta,
-                bins=args.bins,
-                weight_bound=args.weight_bound,
-                kliep_iters=args.kliep_iters,
-                predictions_path=args.predictions_path,
-                truth_path=args.truth_path,
-            )
-            cmd_estimate(cfg)
+            cmd_estimate(args)
         elif args.command == "simulate":
             cmd_simulate(args.spec_path, args.base_path, args.schema_path,
                          args.n, args.seed, args.out_prefix)

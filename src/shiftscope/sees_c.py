@@ -198,29 +198,53 @@ class _Problem:
                     grad[g] -= cfg.eta * a[g] / norms[i]
         return value, grad
 
-    def project(self, a: np.ndarray, tol: float = 1e-8, max_passes: int = 100):
-        """Restore feasibility: orthogonal step back to the constraint
-        hyperplane, then alternate nonnegativity clipping and constraint
-        rescaling until both conditions hold."""
-        c = self.constraint
-        c_sq = float((c * c).sum())
-        if c_sq <= 0:
-            raise ValidationError("constraint vector is identically zero")
-        a = np.array(a, dtype=float)
-        a = a + c * (1.0 - float((c * a).sum())) / c_sq
-        ok = False
-        for _ in range(max_passes):
-            a = np.maximum(a, 0.0)
-            s = float((c * a).sum())
-            if s <= 0:
-                a = np.where(c > 0, 1.0, a)
-                s = float((c * a).sum())
-            a = a / s
-            residual = abs(float((c * a).sum()) - 1.0)
-            if residual <= tol and a.min() >= 0.0:
-                ok = True
+
+def project_feasible(v: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Map ``v`` into {a >= 0, sum(c * a) = 1} for a nonnegative ``c``:
+    orthogonal step to the hyperplane, clip at 0, rescale. If clipping
+    leaves no mass, every entry with c > 0 is set to 1 before the rescale."""
+    c_sq = float((c * c).sum())
+    if c_sq <= 0:
+        raise ValidationError("constraint vector is identically zero")
+    a = np.maximum(v + c * (1.0 - float((c * v).sum())) / c_sq, 0.0)
+    s = float((c * a).sum())
+    if s <= 0:
+        a = np.where(c > 0, 1.0, a)
+        s = float((c * a).sum())
+    return a / s
+
+
+def projected_ascent(value_grad, c: np.ndarray, a0: np.ndarray, step0: float, tol: float,
+                     max_iters: int):
+    """Projected gradient ascent with halving backtracking over
+    {a >= 0, sum(c * a) = 1}, from the feasible ``a0``.
+
+    ``value_grad(a)`` returns the objective and its gradient. Each iteration
+    tries ``step0`` and up to 39 halvings of it and accepts the first
+    projected step that raises the objective, so accepted values never
+    decrease. The ascent stops when an iteration gains less than ``tol``
+    (converged) or after ``max_iters`` iterations. Returns
+    ``(a, value, iterations, converged)``.
+    """
+    a = a0
+    value, grad = value_grad(a)
+    iterations = 0
+    converged = False
+    for iterations in range(1, max_iters + 1):
+        step = step0
+        gain = 0.0
+        for _ in range(40):
+            cand = project_feasible(a + step * grad, c)
+            cand_value, cand_grad = value_grad(cand)
+            if cand_value > value:
+                gain = cand_value - value
+                a, value, grad = cand, cand_value, cand_grad
                 break
-        return a, ok
+            step *= 0.5
+        if gain < tol:
+            converged = True
+            break
+    return a, value, iterations, converged
 
 
 def sees_c_objective(a: np.ndarray, source: TabularDataset, target: TabularDataset,
@@ -235,15 +259,12 @@ def sees_c_objective(a: np.ndarray, source: TabularDataset, target: TabularDatas
 
 def run_sees_c(source: TabularDataset, target: TabularDataset, basis: BasisSet,
                cfg: SeesCConfig = SeesCConfig()) -> tuple[BasisWeight, dict]:
-    """Projected gradient ascent with halving backtracking.
+    """Fit the coefficients with ``projected_ascent`` from the uniform start.
 
-    Every iterate is projected onto {a >= 0, unit source mean}; a step is
-    accepted only if it does not decrease the objective, so the objective
-    sequence is nondecreasing. Returns the fitted weight and diagnostics
-    (final objective, constraint residual, iterations, non_convergence flag).
-    The flag is 1 when the iteration cap, not the ``TOL`` test, ended the
-    ascent, when an accepted step came from a failed projection, or when the
-    final constraint residual exceeds 1e-6.
+    Returns the fitted weight and diagnostics (final objective, constraint
+    residual, iterations, non_convergence flag). The flag is 1 when the
+    iteration cap, not the ``TOL`` test, ended the ascent, or when the final
+    constraint residual exceeds 1e-6.
     """
     problem = _Problem(source, target, basis)
     # start at the feasible uniform rescale of all-ones; for indicator bases
@@ -252,32 +273,14 @@ def run_sees_c(source: TabularDataset, target: TabularDataset, basis: BasisSet,
     total = float((problem.constraint * a).sum())
     if total <= 0:
         raise ValidationError("constraint vector is identically zero")
-    a = a / total
-    value, grad = problem.value_grad(a, cfg)
-    iterations = 0
-    projection_failed = False
-    converged = False
-    for iterations in range(1, cfg.max_iters + 1):
-        step = STEP_SIZE
-        gain = 0.0
-        for _ in range(40):
-            cand, ok = problem.project(a + step * grad)
-            cand_value, cand_grad = problem.value_grad(cand, cfg)
-            if cand_value > value:
-                if not ok:
-                    projection_failed = True
-                gain = cand_value - value
-                a, value, grad = cand, cand_value, cand_grad
-                break
-            step *= 0.5
-        if gain < TOL:
-            converged = True
-            break
+    a, value, iterations, converged = projected_ascent(
+        lambda x: problem.value_grad(x, cfg), problem.constraint, a / total,
+        STEP_SIZE, TOL, cfg.max_iters)
     residual = abs(float((problem.constraint * a).sum()) - 1.0)
     diagnostics = {
         "objective": value,
         "constraint_residual": residual,
         "iterations": float(iterations),
-        "non_convergence": 1.0 if (projection_failed or residual > 1e-6 or not converged) else 0.0,
+        "non_convergence": 1.0 if (residual > 1e-6 or not converged) else 0.0,
     }
     return BasisWeight(coefficients=a, basis=basis), diagnostics

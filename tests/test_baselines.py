@@ -3,8 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shiftscope.baselines import run_bbse, run_bbse_population, run_dlu, run_kliep
-from shiftscope.errors import DegenerateKernel, SingularConfusion
+from shiftscope.baselines import KLIEP_ITERS, run_bbse, run_bbse_population, run_dlu, run_kliep
+from shiftscope.errors import DegenerateKernel, SingularConfusion, ValidationError
 from shiftscope.estimator import score_weights
 from shiftscope.sees_d import SeesDConfig, run_sees_d, run_sees_d_population
 from shiftscope.synth import (
@@ -92,6 +92,19 @@ class TestKliep:
             for k in (1, 5, 25, 125)
         ]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_iteration_cap_reports_non_convergence(self, small_scored):
+        rng = np.random.default_rng(4)
+        target = small_scored.take(rng.integers(0, small_scored.n, size=1200))
+        _, capped = run_kliep(small_scored, target, max_iters=3)
+        _, full = run_kliep(small_scored, target)
+        assert capped["iterations"] == 3.0 and capped["non_convergence"] == 1.0
+        assert full["iterations"] < KLIEP_ITERS and full["non_convergence"] == 0.0
+
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_nonpositive_iteration_cap_rejected(self, small_scored, max_iters):
+        with pytest.raises(ValidationError, match="max_iters must be positive"):
+            run_kliep(small_scored, small_scored, max_iters=max_iters)
 
     def test_covariate_beats_bbse_on_gap(self):
         # Monte-Carlo ordering: average the squared gap error over seeds

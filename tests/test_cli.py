@@ -224,6 +224,26 @@ class TestEstimate:
             assert row["recovered"] == int(
                 tuple(report["selected_features"]) == truth.true_shift_set)
 
+    @pytest.mark.parametrize("method", ["all", "bbse"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--sparsity", "5"),  # the workspace has 4 features
+        ("--sparsity", "-1"),
+        ("--eta", "-0.1"),
+        ("--weight-bound", "0.5"),
+        ("--kliep-iters", "0"),
+        ("--kliep-iters", "-3"),
+        ("--bins", "1"),  # rejected although every column is discrete
+    ])
+    def test_bad_flag_is_rejected_for_any_method(self, workspace, tmp_path, capsys,
+                                                 method, flag, value):
+        run_simulate(workspace)
+        out = tmp_path / "report.json"
+        assert self.estimate(workspace, out, method=method, extra=(flag, value)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR VALIDATION_ERROR: {flag} must ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_target_file(self, workspace, tmp_path, capsys):
         code = main([
             "estimate",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shiftscope.baselines import run_bbse
 from shiftscope.data import Column, FeatureSchema, TabularDataset
@@ -10,6 +12,7 @@ from shiftscope.sees_c import (
     SeesCConfig,
     default_basis,
     feature_scores,
+    project_feasible,
     run_sees_c,
     sees_c_objective,
 )
@@ -109,6 +112,47 @@ class TestObjective:
             vm, _ = sees_c_objective(t * a1 + (1 - t) * a2, small_scored,
                                      small_scored, basis, cfg)
             assert vm >= t * v1 + (1 - t) * v2 - 1e-10
+
+
+def zeros_or_scaled(n):
+    """n entries, each 0 or in [0.1, 10]."""
+    return st.lists(st.one_of(st.just(0.0), st.floats(0.1, 10.0)), min_size=n, max_size=n)
+
+
+@st.composite
+def constraint_and_point(draw, feasible=False):
+    """A constraint c >= 0 with zero entries allowed and at least one positive
+    entry, and a point v: a feasible one, a generic one, or an all-negative
+    one of large magnitude, whose hyperplane step rounding can cancel so that
+    clipping leaves no mass."""
+    n = draw(st.integers(1, 8))
+    c = np.array(draw(zeros_or_scaled(n).filter(lambda xs: max(xs) > 0)))
+    if feasible:
+        u = np.array(draw(zeros_or_scaled(n)))
+        if float((c * u).sum()) <= 0:
+            u = np.where(c > 0, 1.0, u)
+        return c, u / float((c * u).sum())
+    if draw(st.booleans()):
+        return c, np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    exponents = draw(st.lists(st.floats(-3.0, 20.0), min_size=n, max_size=n))
+    return c, -(10.0 ** np.array(exponents))
+
+
+class TestProjectFeasible:
+    @settings(deadline=None, max_examples=300)
+    @given(constraint_and_point())
+    @example((np.array([1.0, 0.0, 1.0]), np.array([-1e20, -3.0, -1e20])))  # no mass left
+    def test_result_is_feasible(self, cv):
+        c, v = cv
+        a = project_feasible(v, c)
+        assert (a >= 0).all()
+        assert abs(float((c * a).sum()) - 1.0) <= 1e-12
+
+    @settings(deadline=None, max_examples=300)
+    @given(constraint_and_point(feasible=True))
+    def test_feasible_point_is_kept(self, cv):
+        c, v = cv
+        np.testing.assert_allclose(project_feasible(v, c), v, rtol=1e-15, atol=1e-15)
 
 
 class TestRunSeesC:
