@@ -86,11 +86,7 @@ def run_kliep(source: TabularDataset, target: TabularDataset, centers: int = 100
     if max_iters <= 0:
         raise ValidationError("max_iters must be positive")
     schema = source.schema
-
-    def encode(ds: TabularDataset) -> np.ndarray:
-        return one_hot(schema, ds.rows)
-
-    xs, xt = encode(source), encode(target)
+    xs, xt = one_hot(schema, source.rows), one_hot(schema, target.rows)
     sigma = _median_pairwise(np.vstack([xs, xt]))
     if sigma <= 0:
         raise DegenerateKernel("median pairwise distance is 0")
@@ -113,7 +109,7 @@ def run_kliep(source: TabularDataset, target: TabularDataset, centers: int = 100
 
     alpha, value, iterations, converged = projected_ascent(
         value_grad, b, project_feasible(np.ones(ctr.shape[0]), b), 1.0, KLIEP_TOL, max_iters)
-    weight = KernelWeight(centers=ctr, alphas=alpha, gamma=gamma, encoder=encode)
+    weight = KernelWeight(centers=ctr, alphas=alpha, gamma=gamma, schema=schema)
     weight = weight.normalized(source)
     diag = {"objective": value, "iterations": float(iterations), "bandwidth": sigma,
             "centers": float(ctr.shape[0]), "non_convergence": 0.0 if converged else 1.0}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bench
@@ -123,17 +124,31 @@ def _check(ds: TabularDataset, name: str) -> None:
         raise ValidationError(f"{name}: " + "; ".join(findings[:5]))
 
 
+def _check_at_least(*flags) -> None:
+    """Each ``(flag, value, least)`` needs ``value >= least`` (NaN fails)."""
+    for flag, value, least in flags:
+        if not value >= least:
+            raise ValidationError(f"{flag} must be >= {least}")
+
+
+def _check_output_path(path: str) -> None:
+    """Fail on a path that cannot become the output file, creating nothing."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"--output-path is a directory: {path!r}")
+    if not path or not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(f"--output-path is empty or its directory is missing: {path!r}")
+
+
 def cmd_estimate(args: argparse.Namespace) -> None:
-    """Run the ``estimate`` command on parsed arguments. Every flag is checked
-    before the data are read, so a bad flag fails the same way for any
-    ``--method``."""
+    """Run the ``estimate`` command on parsed arguments. Every flag and the
+    output path are checked before the data are read, so a bad flag fails
+    the same way for any ``--method``."""
     schema = load_schema(args.schema_path)
     if not 0 <= args.sparsity <= schema.d:
         raise ValidationError(f"--sparsity must lie in 0..{schema.d} (the feature count)")
-    for flag, value, least in (("--eta", args.eta, 0), ("--weight-bound", args.weight_bound, 1),
-                               ("--kliep-iters", args.kliep_iters, 1), ("--bins", args.bins, 2)):
-        if not value >= least:
-            raise ValidationError(f"{flag} must be >= {least}")
+    _check_at_least(("--eta", args.eta, 0), ("--weight-bound", args.weight_bound, 1),
+                    ("--kliep-iters", args.kliep_iters, 1), ("--bins", args.bins, 2))
+    _check_output_path(args.output_path)
     source = load_dataset(args.source_path, schema)
     target = load_dataset(args.target_path, schema)
     if source.labels is None:
@@ -187,15 +202,17 @@ def cmd_estimate(args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 # simulate
 
-def cmd_simulate(spec_path, base_path, schema_path, n: int, seed: int,
-                 out_prefix: str) -> None:
-    schema = load_schema(schema_path)
-    base = load_dataset(base_path, schema)
+def cmd_simulate(args: argparse.Namespace) -> None:
+    """Run the ``simulate`` command on parsed arguments."""
+    _check_at_least(("--n", args.n, 1))
+    schema = load_schema(args.schema_path)
+    base = load_dataset(args.base_path, schema)
     if base.labels is None:
         raise ValidationError("base file has no label column")
-    spec = load_shift_spec(spec_path, schema)
-    source, target, truth = draw_pair(base, spec, n, n, seed)
+    spec = load_shift_spec(args.spec_path, schema)
+    source, target, truth = draw_pair(base, spec, args.n, args.n, args.seed)
     target, truth = score_target(train_logistic(source), target, truth)
+    out_prefix = args.out_prefix
     save_dataset(source, f"{out_prefix}.source.csv", include_labels=True)
     save_dataset(target, f"{out_prefix}.target.csv")
     save_truth(f"{out_prefix}.truth.json", schema, truth)
@@ -250,13 +267,16 @@ def main(argv=None) -> int:
         if args.command == "estimate":
             cmd_estimate(args)
         elif args.command == "simulate":
-            cmd_simulate(args.spec_path, args.base_path, args.schema_path,
-                         args.n, args.seed, args.out_prefix)
+            cmd_simulate(args)
         else:
+            _check_at_least(("--seeds", args.seeds, 1))
             rows = bench.run_suite(args.suite, args.seeds, args.out)
             print(f"wrote {rows} rows to {args.out}")
     except FileNotFoundError as exc:
         print(f"ERROR FILE_NOT_FOUND: {exc}", file=sys.stderr)
+        return 2
+    except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        print(f"ERROR FILE_ERROR: {exc}", file=sys.stderr)
         return 2
     except InputError as exc:
         print(f"ERROR {exc.category}: {exc}", file=sys.stderr)

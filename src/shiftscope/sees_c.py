@@ -1,10 +1,11 @@
 """Continuous-feature shift estimator: group-penalized likelihood matching.
 
-Weights are linear combinations of fixed nonnegative basis functions,
-w(x, y) = sum_k a[k, y] * phi_k(x, y). The coefficients maximize the
-empirical target log of the induced feature density surrogate, minus a
-group penalty (one group per feature) that drives whole features out of
-the weight, subject to nonnegativity and a unit source-mean constraint.
+Weights are linear combinations of fixed nonnegative basis functions of
+the features alone, w(x, y) = sum_k a[k, y] * phi_k(x); the label enters
+only through the coefficients. The coefficients maximize the empirical
+target log of the induced feature density surrogate, minus a group penalty
+(one group per feature) that drives whole features out of the weight,
+subject to nonnegativity and a unit source-mean constraint.
 """
 
 from __future__ import annotations
@@ -15,111 +16,64 @@ import numpy as np
 
 from .data import DISCRETE, FeatureSchema, TabularDataset
 from .errors import ValidationError
+from .predictor import one_hot
 from .tabulate import distinct_first
 from .weights import BasisWeight
 
 
 @dataclass(frozen=True)
-class BasisFunction:
-    """One nonnegative basis phi(x, y), tagged with the feature it reads."""
-
-    feature_index: int
-    name: str
-    fn: object  # callable (rows, y) -> (n,) nonnegative values
-
-
-@dataclass(frozen=True)
 class BasisSet:
-    functions: tuple
-    d: int
+    """The bases phi_k(x): ``predictor.one_hot`` of the rows with each
+    continuous column x_i replaced by max(x_i - shifts[i] + 1, 0). ``shifts``
+    holds one entry per column, None for a discrete one."""
+
+    schema: FeatureSchema
+    shifts: tuple
 
     def __post_init__(self):
-        if not self.functions:
-            raise ValidationError("basis set is empty")
-        for f in self.functions:
-            if not 1 <= f.feature_index <= self.d:
-                raise ValidationError(f"basis {f.name} reads feature {f.feature_index}")
-        object.__setattr__(self, "functions", tuple(self.functions))
+        if [s is None for s in self.shifts] != [c.kind == DISCRETE for c in self.schema.columns]:
+            raise ValidationError("basis shifts: a number per continuous column, None per discrete")
 
     @property
     def size(self) -> int:
-        return len(self.functions)
+        return sum(g.size for g in self.groups())
 
     def groups(self) -> list[np.ndarray]:
-        """For each feature i (1-based), the indices k with phi_k reading i."""
-        out = []
-        for i in range(1, self.d + 1):
-            out.append(
-                np.array([k for k, f in enumerate(self.functions) if f.feature_index == i],
-                         dtype=int)
-            )
-        return out
+        """For each feature, in column order, the indices k of its bases: one
+        block per column, as wide as its cardinality (1 if continuous)."""
+        widths = [col.cardinality if col.kind == DISCRETE else 1 for col in self.schema.columns]
+        ends = np.cumsum(widths)
+        return [np.arange(end - width, end) for width, end in zip(widths, ends)]
 
-    def design(self, rows: np.ndarray, y: int) -> np.ndarray:
-        """(n, K) matrix of basis values at label y."""
-        cols = [np.asarray(f.fn(rows, y), dtype=float) for f in self.functions]
-        mat = np.column_stack(cols) if cols else np.zeros((rows.shape[0], 0))
-        if (mat < 0).any():
-            raise ValidationError("basis functions must be nonnegative")
-        return mat
-
-    def design_stack(self, rows: np.ndarray, n_labels: int) -> np.ndarray:
-        """(L, n, K) stack of per-label design matrices."""
-        return np.stack([self.design(rows, y) for y in range(1, n_labels + 1)])
-
-    def weight_values(self, rows: np.ndarray, labels: np.ndarray,
-                      coefficients: np.ndarray) -> np.ndarray:
-        w = np.empty(rows.shape[0])
-        for y in np.unique(labels):
-            mask = labels == y
-            w[mask] = self.design(rows[mask], int(y)) @ coefficients[:, int(y) - 1]
-        return w
+    def design(self, rows: np.ndarray) -> np.ndarray:
+        """(n, K) matrix of basis values."""
+        shifted = np.array(rows, dtype=float)
+        for j, shift in enumerate(self.shifts):
+            if shift is not None:
+                shifted[:, j] = np.maximum(shifted[:, j] - shift + 1.0, 0.0)
+        return one_hot(self.schema, shifted)
 
 
 def default_basis(schema: FeatureSchema, reference: TabularDataset | None = None) -> BasisSet:
     """Linear bases for continuous columns, indicators for discrete ones.
 
-    A continuous feature contributes phi(x, y) = x_i - min + 1, shifted by
-    the reference dataset's column minimum so every basis value stays
+    A continuous feature contributes phi(x) = x_i - min + 1, shifted by the
+    reference dataset's column minimum so every basis value stays
     nonnegative; a discrete feature of cardinality v contributes the v
     indicator functions.
     """
-    functions = []
-    for j, col in enumerate(schema.columns, start=1):
+    shifts = []
+    for j, col in enumerate(schema.columns):
         if col.kind == DISCRETE:
-            for c in range(1, col.cardinality + 1):
-                functions.append(BasisFunction(
-                    feature_index=j,
-                    name=f"{col.name}=={c}",
-                    fn=_indicator(j, c),
-                ))
+            shifts.append(None)
+        elif reference is None:
+            raise ValidationError(
+                f"continuous column {col.name!r} needs a reference dataset "
+                "to anchor the nonnegative shift"
+            )
         else:
-            if reference is None:
-                raise ValidationError(
-                    f"continuous column {col.name!r} needs a reference dataset "
-                    "to anchor the nonnegative shift"
-                )
-            shift = float(reference.rows[:, j - 1].min())
-            functions.append(BasisFunction(
-                feature_index=j,
-                name=f"{col.name}+{1 - shift}",
-                fn=_shifted_linear(j, shift),
-            ))
-    return BasisSet(functions=tuple(functions), d=schema.d)
-
-
-def _indicator(j: int, c: int):
-    def fn(rows, y):
-        return (rows[:, j - 1].astype(int) == c).astype(float)
-
-    return fn
-
-
-def _shifted_linear(j: int, shift: float):
-    def fn(rows, y):
-        return np.maximum(rows[:, j - 1] - shift + 1.0, 0.0)
-
-    return fn
+            shifts.append(float(reference.rows[:, j].min()))
+    return BasisSet(schema=schema, shifts=tuple(shifts))
 
 
 STEP_SIZE = 0.1  # first step tried by each backtracking search
@@ -140,7 +94,7 @@ class SeesCConfig:
 
 
 def _group_norms(a: np.ndarray, groups) -> np.ndarray:
-    return np.array([np.sqrt(float((a[g] ** 2).sum())) if g.size else 0.0 for g in groups])
+    return np.array([np.sqrt(float((a[g] ** 2).sum())) for g in groups])
 
 
 def feature_scores(a: np.ndarray, basis: BasisSet) -> np.ndarray:
@@ -168,7 +122,7 @@ class _Problem:
         # predictions that differ
         first, inverse = distinct_first([*target.rows.T, *target.pred_probs.T])
         self.counts = np.bincount(inverse).astype(float)
-        self.phi_t = basis.design_stack(target.rows[first], L)  # (L, m, K)
+        self.phi_t = basis.design(target.rows[first])  # (m, K)
         self.pt = target.pred_probs[first]  # (m, L)
         self.n_t = target.n
         # linear constraint: sum_{k,y} a[k,y] * c[k,y] = 1
@@ -176,20 +130,20 @@ class _Problem:
         for y in range(1, L + 1):
             mask = source.labels == y
             if mask.any():
-                c[:, y - 1] = basis.design(source.rows[mask], y).sum(axis=0)
+                c[:, y - 1] = basis.design(source.rows[mask]).sum(axis=0)
         self.constraint = c / source.n
 
     def value_grad(self, a: np.ndarray, cfg: SeesCConfig):
         inner = np.zeros(self.counts.size)
         for y in range(self.L):
-            inner += self.pt[:, y] * (self.phi_t[y] @ a[:, y])
+            inner += self.pt[:, y] * (self.phi_t @ a[:, y])
         floored = inner < PROB_FLOOR
         safe = np.maximum(inner, PROB_FLOOR)
         value = float((self.counts * np.log(safe)).sum()) / self.n_t
         coef = np.where(floored, 0.0, self.counts / safe) / self.n_t
         grad = np.empty_like(a)
         for y in range(self.L):
-            grad[:, y] = self.phi_t[y].T @ (coef * self.pt[:, y])
+            grad[:, y] = self.phi_t.T @ (coef * self.pt[:, y])
         if cfg.eta > 0:
             norms = _group_norms(a, self.groups)
             value -= cfg.eta * float(norms.sum())

@@ -14,8 +14,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .data import TabularDataset
+from .data import FeatureSchema, TabularDataset
 from .errors import ValidationError
+from .predictor import one_hot, predict_probs
 from .tabulate import distinct_rows
 
 CLIP_HI = 100.0  # cap on a classifier-ratio weight
@@ -107,7 +108,8 @@ class TableWeight(WeightFunction):
 
 @dataclass(frozen=True)
 class BasisWeight(WeightFunction):
-    """w(x, y) = sum_k a[k, y-1] * phi_k(x, y) for a nonnegative K x L matrix."""
+    """w(x, y) = sum_k a[k, y-1] * phi_k(x) for a nonnegative K x L matrix: the
+    bases read the features alone, and the label picks the coefficient column."""
 
     coefficients: np.ndarray
     basis: object  # BasisSet; duck-typed to avoid an import cycle
@@ -121,8 +123,12 @@ class BasisWeight(WeightFunction):
         object.__setattr__(self, "coefficients", a)
 
     def weights_for(self, ds: TabularDataset) -> np.ndarray:
-        y = _require_labels(ds)
-        return self.basis.weight_values(ds.rows, y, self.coefficients)
+        labels = _require_labels(ds)
+        w = np.empty(ds.n)
+        for y in np.unique(labels):
+            mask = labels == y
+            w[mask] = self.basis.design(ds.rows[mask]) @ self.coefficients[:, int(y) - 1]
+        return w
 
     def _scaled(self, factor: float) -> "BasisWeight":
         return replace(self, coefficients=self.coefficients * factor)
@@ -135,11 +141,11 @@ class KernelWeight(WeightFunction):
     centers: np.ndarray
     alphas: np.ndarray
     gamma: float
-    encoder: object  # callable TabularDataset -> (n, p) float matrix
+    schema: FeatureSchema  # rows are compared in its one-hot encoding
     scale: float = 1.0
 
     def weights_for(self, ds: TabularDataset) -> np.ndarray:
-        k = gaussian_kernel(self.encoder(ds), self.centers, self.gamma)
+        k = gaussian_kernel(one_hot(self.schema, ds.rows), self.centers, self.gamma)
         return self.scale * (k @ self.alphas)
 
     def _scaled(self, factor: float) -> "KernelWeight":
@@ -155,8 +161,6 @@ class ModelRatioWeight(WeightFunction):
     scale: float = 1.0
 
     def weights_for(self, ds: TabularDataset) -> np.ndarray:
-        from .predictor import predict_probs
-
         rho = predict_probs(self.model, ds)[:, 1]
         raw = rho / np.maximum(1.0 - rho, 1e-12) * self.prior_ratio
         return self.scale * np.clip(raw, 0.0, CLIP_HI)

@@ -244,6 +244,36 @@ class TestEstimate:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,path,category", [
+        ("--output-path", None, "FILE_NOT_FOUND"),  # an empty path
+        ("--output-path", ".", "FILE_ERROR"),  # an existing directory
+        ("--output-path", "missing/report.json", "FILE_NOT_FOUND"),
+        ("--source-path", ".", "FILE_ERROR"),
+        ("--schema-path", ".", "FILE_ERROR"),
+    ])
+    def test_bad_path_fails_before_any_method_runs(self, workspace, tmp_path, capsys,
+                                                   monkeypatch, flag, path, category):
+        import shiftscope.cli
+
+        calls = []
+        real = shiftscope.cli.run_method
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(shiftscope.cli, "run_method", counted)
+        run_simulate(workspace)
+        value = "" if path is None else str(tmp_path / path)
+        code = self.estimate(workspace, tmp_path / "report.json", method="all",
+                             extra=(flag, value))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"ERROR {category}: ")
+        assert err.count("\n") == 1
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_target_file(self, workspace, tmp_path, capsys):
         code = main([
             "estimate",
@@ -264,6 +294,23 @@ class TestEstimate:
         assert self.estimate(workspace, a) == 0
         assert self.estimate(workspace, b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "0"],
+    ["simulate", "--n", "-5"],
+    ["bench", "--suite", "sensitivity", "--seeds", "0"],
+    ["bench", "--suite", "tradeoff", "--seeds", "-1"],
+])
+def test_count_flag_below_one_is_rejected_up_front(tmp_path, capsys, argv):
+    # the input files do not exist, so reading any of them would fail differently
+    paths = {"simulate": ["--spec-path", "--base-path", "--schema-path", "--out-prefix"],
+             "bench": ["--out"]}[argv[0]]
+    code = main(argv + [arg for flag in paths for arg in (flag, str(tmp_path / flag[2:]))])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"ERROR VALIDATION_ERROR: {argv[-2]} must be >= 1\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestMixedSchema:

@@ -136,14 +136,14 @@ def per_row_train(ds, l2_lambda=1e-4, max_iters=100):
 
 def per_row_sees_c(a, phi, probs, groups, cfg):
     """sees-c's penalized objective and gradient with every target row
-    entering on its own: ``phi`` is the (L, n, K) basis stack of all rows."""
+    entering on its own: ``phi`` is the (n, K) basis design of all rows."""
     n = probs.shape[0]
-    inner = sum(probs[:, y] * (phi[y] @ a[:, y]) for y in range(probs.shape[1]))
+    inner = sum(probs[:, y] * (phi @ a[:, y]) for y in range(probs.shape[1]))
     floored = inner < sees_c.PROB_FLOOR
     safe = np.maximum(inner, sees_c.PROB_FLOOR)
     value = float(np.mean(np.log(safe)))
     coef = np.where(floored, 0.0, 1.0 / safe) / n
-    grad = np.column_stack([phi[y].T @ (coef * probs[:, y]) for y in range(probs.shape[1])])
+    grad = np.column_stack([phi.T @ (coef * probs[:, y]) for y in range(probs.shape[1])])
     for g in groups:
         norm = float(np.sqrt((a[g] ** 2).sum()))
         value -= cfg.eta * norm
@@ -157,7 +157,7 @@ class PerRowProblem(sees_c._Problem):
 
     def __init__(self, source, target, basis):
         super().__init__(source, target, basis)
-        self.all_phi = basis.design_stack(target.rows, self.L)
+        self.all_phi = basis.design(target.rows)
         self.all_probs = target.pred_probs
 
     def value_grad(self, a, cfg):
@@ -252,7 +252,7 @@ def test_sees_c_objective_equals_per_row(ds, seed, eta):
     cfg = SeesCConfig(eta=eta)
     a = np.random.default_rng(seed).uniform(0.0, 2.0, size=(basis.size, 2))
     value, grad = sees_c_objective(a, scored, scored, basis, cfg)
-    ref_value, ref_grad = per_row_sees_c(a, basis.design_stack(ds.rows, 2),
+    ref_value, ref_grad = per_row_sees_c(a, basis.design(ds.rows),
                                          scored.pred_probs, basis.groups(), cfg)
     assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)

@@ -9,6 +9,7 @@ from shiftscope.errors import ValidationError
 from shiftscope.estimator import score_weights
 from shiftscope.predictor import predict, train_logistic
 from shiftscope.sees_c import (
+    BasisSet,
     SeesCConfig,
     default_basis,
     feature_scores,
@@ -44,7 +45,7 @@ class TestDefaultBasis:
         ref = TabularDataset(schema=mixed_schema(), rows=[[0.5, 1], [2.0, 2]])
         basis = default_basis(mixed_schema(), reference=ref)
         assert basis.size == 3
-        vals = basis.design(ref.rows, 1)
+        vals = basis.design(ref.rows)
         assert (vals >= 0).all()
 
     def test_two_ternary_columns_give_six_indicators(self):
@@ -57,6 +58,54 @@ class TestDefaultBasis:
     def test_continuous_without_reference_rejected(self):
         with pytest.raises(ValidationError):
             default_basis(mixed_schema())
+
+    def test_shifts_must_match_column_kinds(self):
+        for shifts in ((None, None), (0.0, 1.0), (0.0,), (0.0, None, None)):
+            with pytest.raises(ValidationError):
+                BasisSet(schema=mixed_schema(), shifts=shifts)
+
+
+@st.composite
+def basis_cases(draw):
+    """A schema of discrete (cardinality 2-4) and continuous columns, a
+    reference dataset, and rows to encode, whose continuous values reach
+    below the reference minimum."""
+    kinds = draw(st.lists(st.sampled_from([None, 2, 3, 4]), min_size=1, max_size=5))
+    schema = FeatureSchema(
+        columns=tuple(Column(f"x{j}", "continuous") if card is None
+                      else Column(f"x{j}", "discrete", card)
+                      for j, card in enumerate(kinds, start=1)),
+        label_cardinality=2,
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def sample(n, spread):
+        return np.column_stack([rng.uniform(-spread, spread, n).round(2) if card is None
+                                else rng.integers(1, card + 1, n).astype(float)
+                                for card in kinds])
+
+    reference = TabularDataset(schema=schema, rows=sample(draw(st.integers(1, 20)), 5.0))
+    return schema, reference, sample(draw(st.integers(1, 20)), 8.0)
+
+
+class TestBasisDesign:
+    @settings(deadline=None, max_examples=60)
+    @given(basis_cases())
+    def test_design_matches_per_column_bases(self, case):
+        schema, reference, rows = case
+        basis = default_basis(schema, reference=reference)
+        expected, blocks = [], []
+        for j, col in enumerate(schema.columns):
+            if col.kind == "discrete":
+                cols = [(rows[:, j] == c).astype(float) for c in range(1, col.cardinality + 1)]
+            else:
+                cols = [np.maximum(rows[:, j] - reference.rows[:, j].min() + 1.0, 0.0)]
+            blocks.append(list(range(len(expected), len(expected) + len(cols))))
+            expected += cols
+        design = basis.design(rows)
+        assert np.array_equal(design, np.column_stack(expected))
+        assert basis.size == design.shape[1]
+        assert [g.tolist() for g in basis.groups()] == blocks
 
 
 class TestObjective:
@@ -78,7 +127,7 @@ class TestObjective:
         probs = small_scored.pred_probs
         inner = np.zeros(small_scored.n)
         for y in (1, 2):
-            inner += probs[:, y - 1] * (basis.design(small_scored.rows, y) @ a[:, y - 1])
+            inner += probs[:, y - 1] * (basis.design(small_scored.rows) @ a[:, y - 1])
         assert v0 == pytest.approx(float(np.mean(np.log(inner))), abs=1e-12)
 
     def test_gradient_matches_central_differences(self, small_scored):
