@@ -109,8 +109,8 @@ def run_kliep(source: TabularDataset, target: TabularDataset, centers: int = 100
 
     alpha, value, iterations, converged = projected_ascent(
         value_grad, b, project_feasible(np.ones(ctr.shape[0]), b), 1.0, KLIEP_TOL, max_iters)
+    # the constraint b . alpha = 1 is the unit source mean of the weight
     weight = KernelWeight(centers=ctr, alphas=alpha, gamma=gamma, schema=schema)
-    weight = weight.normalized(source)
     diag = {"objective": value, "iterations": float(iterations), "bandwidth": sigma,
             "centers": float(ctr.shape[0]), "non_convergence": 0.0 if converged else 1.0}
     return weight, diag
@@ -118,7 +118,8 @@ def run_kliep(source: TabularDataset, target: TabularDataset, centers: int = 100
 
 def run_dlu(source: TabularDataset, target: TabularDataset) -> tuple[ModelRatioWeight, dict]:
     """Discriminative reweighting: train a source-vs-target classifier on the
-    union and convert its probability into a feature-only weight."""
+    union and convert its probability into a feature-only weight, scaled to
+    source mean 1."""
     union_schema = FeatureSchema(
         columns=source.schema.columns,
         label_cardinality=2,
@@ -128,7 +129,11 @@ def run_dlu(source: TabularDataset, target: TabularDataset) -> tuple[ModelRatioW
     domain = np.concatenate([np.ones(source.n, dtype=int), np.full(target.n, 2)])
     union = TabularDataset(schema=union_schema, rows=rows, labels=domain)
     model = train_logistic(union)
-    weight = ModelRatioWeight(model, prior_ratio=source.n / max(target.n, 1)).normalized(source)
+    weight = ModelRatioWeight(model, prior_ratio=source.n / max(target.n, 1))
+    mean = float(np.mean(weight.weights_for(source)))
+    if mean <= 0:
+        raise ValidationError("cannot normalize: source mean weight is 0")
+    weight = ModelRatioWeight(model, weight.prior_ratio, scale=1.0 / mean)
     diag = {
         "train_iterations": float(model.iterations),
         "train_converged": 1.0 if model.converged else 0.0,

@@ -131,12 +131,13 @@ def _check_at_least(*flags) -> None:
             raise ValidationError(f"{flag} must be >= {least}")
 
 
-def _check_output_path(path: str) -> None:
-    """Fail on a path that cannot become the output file, creating nothing."""
+def _check_output_path(path: str, flag: str) -> None:
+    """Fail on a path that cannot become the output file named by ``flag``,
+    creating nothing."""
     if os.path.isdir(path):
-        raise IsADirectoryError(f"--output-path is a directory: {path!r}")
+        raise IsADirectoryError(f"{flag} is a directory: {path!r}")
     if not path or not os.path.isdir(os.path.dirname(path) or "."):
-        raise FileNotFoundError(f"--output-path is empty or its directory is missing: {path!r}")
+        raise FileNotFoundError(f"{flag} is empty or its directory is missing: {path!r}")
 
 
 def cmd_estimate(args: argparse.Namespace) -> None:
@@ -148,9 +149,12 @@ def cmd_estimate(args: argparse.Namespace) -> None:
         raise ValidationError(f"--sparsity must lie in 0..{schema.d} (the feature count)")
     _check_at_least(("--eta", args.eta, 0), ("--weight-bound", args.weight_bound, 1),
                     ("--kliep-iters", args.kliep_iters, 1), ("--bins", args.bins, 2))
-    _check_output_path(args.output_path)
+    _check_output_path(args.output_path, "--output-path")
     source = load_dataset(args.source_path, schema)
     target = load_dataset(args.target_path, schema)
+    for ds, name in ((source, "source"), (target, "target")):
+        if ds.n == 0:
+            raise ValidationError(f"{name} file has no data rows")
     if source.labels is None:
         raise ValidationError("source file has no label column")
     target = target.without_labels()
@@ -203,8 +207,12 @@ def cmd_estimate(args: argparse.Namespace) -> None:
 # simulate
 
 def cmd_simulate(args: argparse.Namespace) -> None:
-    """Run the ``simulate`` command on parsed arguments."""
+    """Run the ``simulate`` command on parsed arguments. The three output
+    paths are checked before any file is read."""
     _check_at_least(("--n", args.n, 1))
+    outputs = [f"{args.out_prefix}.{part}" for part in ("source.csv", "target.csv", "truth.json")]
+    for path in outputs:
+        _check_output_path(path, "--out-prefix")
     schema = load_schema(args.schema_path)
     base = load_dataset(args.base_path, schema)
     if base.labels is None:
@@ -212,11 +220,10 @@ def cmd_simulate(args: argparse.Namespace) -> None:
     spec = load_shift_spec(args.spec_path, schema)
     source, target, truth = draw_pair(base, spec, args.n, args.n, args.seed)
     target, truth = score_target(train_logistic(source), target, truth)
-    out_prefix = args.out_prefix
-    save_dataset(source, f"{out_prefix}.source.csv", include_labels=True)
-    save_dataset(target, f"{out_prefix}.target.csv")
-    save_truth(f"{out_prefix}.truth.json", schema, truth)
-    print(f"wrote {out_prefix}.source.csv, {out_prefix}.target.csv, {out_prefix}.truth.json")
+    save_dataset(source, outputs[0], include_labels=True)
+    save_dataset(target, outputs[1])
+    save_truth(outputs[2], schema, truth)
+    print(f"wrote {', '.join(outputs)}")
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +277,7 @@ def main(argv=None) -> int:
             cmd_simulate(args)
         else:
             _check_at_least(("--seeds", args.seeds, 1))
+            _check_output_path(args.out, "--out")
             rows = bench.run_suite(args.suite, args.seeds, args.out)
             print(f"wrote {rows} rows to {args.out}")
     except FileNotFoundError as exc:

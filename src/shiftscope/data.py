@@ -27,6 +27,12 @@ CONTINUOUS = "continuous"
 PROB_ROW_TOL = 1e-9
 
 
+def _check_distinct(categories: tuple[str, ...] | None, owner: str) -> None:
+    """Codes are looked up by category name, so the names must be distinct."""
+    if categories is not None and len(set(categories)) != len(categories):
+        raise ValidationError(f"{owner}: duplicate categories {list(categories)!r}")
+
+
 @dataclass(frozen=True)
 class Column:
     """One feature column: discrete with a known cardinality, or continuous.
@@ -54,6 +60,7 @@ class Column:
                     f"column {self.name!r}: {len(self.categories)} categories for "
                     f"cardinality {self.cardinality}"
                 )
+            _check_distinct(self.categories, f"column {self.name!r}")
         elif self.cardinality is not None:
             raise ValidationError(f"column {self.name!r}: continuous column has cardinality")
 
@@ -83,6 +90,7 @@ class FeatureSchema:
             and len(self.label_categories) != self.label_cardinality
         ):
             raise ValidationError("label categories do not match label cardinality")
+        _check_distinct(self.label_categories, "label")
 
     @property
     def d(self) -> int:
@@ -284,30 +292,36 @@ class ShiftReport:
 # ---------------------------------------------------------------------------
 # File ingestion: schema JSON + CSV datasets.
 
+def _schema_categories(owner: dict) -> tuple[str, ...]:
+    if not isinstance(owner["categories"], list):
+        raise ValueError(f"categories of {owner.get('name')!r} must be a list")
+    return tuple(str(v) for v in owner["categories"])
+
+
 def load_schema(path) -> FeatureSchema:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"schema file {path}: {exc}") from exc
+    """Anything malformed in the schema file raises ValidationError naming it."""
     try:
+        with open(path) as fh:
+            raw = json.load(fh)
         cols = []
         for c in raw["columns"]:
             if c["kind"] == DISCRETE:
-                cats = tuple(str(v) for v in c["categories"])
+                cats = _schema_categories(c)
                 cols.append(Column(c["name"], DISCRETE, len(cats), cats))
             else:
-                cols.append(Column(c["name"], CONTINUOUS))
+                cols.append(Column(c["name"], c["kind"]))
         lab = raw["label"]
-        cats = tuple(str(v) for v in lab["categories"])
+        cats = _schema_categories(lab)
+        return FeatureSchema(
+            columns=tuple(cols),
+            label_cardinality=len(cats),
+            label_name=lab["name"],
+            label_categories=cats,
+        )
     except KeyError as exc:
         raise ValidationError(f"schema file {path}: missing key {exc}") from exc
-    return FeatureSchema(
-        columns=tuple(cols),
-        label_cardinality=len(cats),
-        label_name=lab["name"],
-        label_categories=cats,
-    )
+    except (ValidationError, ValueError, TypeError) as exc:
+        raise ValidationError(f"schema file {path}: {exc}") from exc
 
 
 def save_schema(schema: FeatureSchema, path) -> None:

@@ -38,16 +38,16 @@ def source_accuracy(ds: TabularDataset) -> float:
     return float(np.mean(ds.predictions == ds.labels))
 
 
-def estimate_gap(source: TabularDataset, w: WeightFunction) -> float:
+def estimate_gap(source: TabularDataset, weights: np.ndarray) -> float:
     """Estimated accuracy change, positive when target accuracy is higher.
 
     Reweights the per-row correctness indicator: mean of
-    ``(w(x_i, y_i) - 1) * 1{f(x_i) = y_i}`` over the labeled source.
+    ``(w_i - 1) * 1{f(x_i) = y_i}`` over the labeled source, where
+    ``weights`` holds w(x_i, y_i) for each source row.
     """
     if source.labels is None or source.predictions is None:
         raise ValidationError("gap estimation needs source labels and predictions")
     correct = (source.predictions == source.labels).astype(float)
-    weights = w.weights_for(source)
     delta = float(np.mean((weights - 1.0) * correct))
     acc = float(np.mean(correct))
     assert delta >= -acc - 1e-9, "weighted accuracy went negative"
@@ -68,14 +68,12 @@ def select_features(w: WeightFunction, s: int) -> tuple[int, ...]:
     return ()
 
 
-def score_weights(w: WeightFunction, truth: GroundTruth,
-                  eval_points: TabularDataset) -> dict:
-    """MSE and Pearson correlation between estimated and true weights.
+def score_weights(est: np.ndarray, ref: np.ndarray) -> dict:
+    """MSE and Pearson correlation between estimated and true per-row weights.
 
     PCC is reported as 0 (with a warning) when either side is constant.
     """
-    est = np.asarray(w.weights_for(eval_points), dtype=float)
-    ref = np.asarray(truth.true_weights.weights_for(eval_points), dtype=float)
+    est, ref = np.asarray(est, dtype=float), np.asarray(ref, dtype=float)
     mse = float(np.mean((est - ref) ** 2))
     if np.std(est) == 0.0 or np.std(ref) == 0.0:
         warnings.warn("degenerate weight vector: PCC undefined, reporting 0")
@@ -96,7 +94,8 @@ def score_gap(delta_hat: float, truth: GroundTruth, source_acc: float) -> float:
 def run_method(method: str, raw_pair, disc_pair, truth: GroundTruth | None, sparsity: int,
                eta: float = SeesCConfig.eta, weight_bound: float = SeesDConfig.weight_bound,
                kliep_iters: int = KLIEP_ITERS) -> ShiftReport:
-    """Fit one method's weight, estimate the gap, and score it against truth.
+    """Fit one method's weight, evaluate it once on its source, estimate the
+    gap from those weights, and score them against truth.
 
     sees-c and kliep read the raw (source, target) pair; sees-d, bbse and
     dlu read the discretized one. With truth the report adds weight
@@ -121,11 +120,12 @@ def run_method(method: str, raw_pair, disc_pair, truth: GroundTruth | None, spar
         selected = ()
     else:
         raise ValueError(f"unknown method {method!r}")
-    delta = estimate_gap(source, weight)
+    w = weight.weights_for(source)
+    delta = estimate_gap(source, w)
     acc = source_accuracy(source)
     weight_metrics = None
     if truth is not None:
-        weight_metrics = score_weights(weight, truth, source)
+        weight_metrics = score_weights(w, truth.true_weights.weights_for(source))
         if truth.true_target_accuracy is not None:
             diag = {**diag, "gap_sq_error": score_gap(delta, truth, acc)}
     return ShiftReport(method=method, delta_hat=delta, source_accuracy=acc,

@@ -78,7 +78,6 @@ def logistic_loss_grad(w_flat: np.ndarray, x: np.ndarray, y_idx: np.ndarray,
 class LogisticModel:
     schema: FeatureSchema
     coef: np.ndarray  # (p, L)
-    l2_lambda: float
     converged: bool
     iterations: int
 
@@ -153,7 +152,6 @@ def train_logistic(ds: TabularDataset, l2_lambda: float = 1e-4,
     return LogisticModel(
         schema=ds.schema,
         coef=w.reshape(x.shape[1], L),
-        l2_lambda=l2_lambda,
         converged=bool(np.linalg.norm(grad) <= GRAD_TOL),
         iterations=it,
     )

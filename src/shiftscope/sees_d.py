@@ -11,7 +11,7 @@ tiny per-cell blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -287,7 +287,8 @@ def _normalize_table(weight: TableWeight, label_marg: np.ndarray) -> TableWeight
         mean += label_marg[idx] * weight.value(xj, y)
     if mean <= 0:
         raise ValidationError("cannot normalize: zero source expectation")
-    return weight._scaled(1.0 / mean)
+    factor = 1.0 / mean
+    return replace(weight, table={k: w * factor for k, w in weight.table.items()})
 
 
 def run_sees_d(source: TabularDataset, target: TabularDataset,

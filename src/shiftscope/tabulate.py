@@ -39,9 +39,6 @@ class EmpiricalPmf:
         mass.setflags(write=False)
         object.__setattr__(self, "mass", mass)
 
-    def total(self) -> float:
-        return float(self.mass.sum())
-
     def marginal(self, axes) -> "EmpiricalPmf":
         """Sum out everything except ``axes``, returned in the given order."""
         axes = tuple(axes)
@@ -112,12 +109,8 @@ def _axis_column(ds: TabularDataset, axis) -> tuple[np.ndarray, int]:
     return ds.column_values(int(axis)).astype(int) - 1, col.cardinality
 
 
-def estimate_pmf(ds: TabularDataset, axes, alpha: float = 0.0) -> EmpiricalPmf:
-    """Empirical joint mass of the requested axes.
-
-    ``alpha`` adds Laplace smoothing mass to every cell before normalizing
-    (off by default; used only to condition baseline linear systems).
-    """
+def estimate_pmf(ds: TabularDataset, axes) -> EmpiricalPmf:
+    """Empirical joint mass of the requested axes."""
     axes = tuple(axes)
     codes, cards = [], []
     for a in axes:
@@ -129,10 +122,10 @@ def estimate_pmf(ds: TabularDataset, axes, alpha: float = 0.0) -> EmpiricalPmf:
         raise ValidationError(f"refusing to materialize table with {n_cells} cells")
     if not axes:
         return EmpiricalPmf(axes=(), cardinalities=(), mass=np.array(1.0))
-    if ds.n == 0 and alpha == 0.0:
+    if ds.n == 0:
         raise ValidationError("cannot estimate a pmf from an empty dataset")
-    flat = np.ravel_multi_index(codes, cards) if ds.n else np.array([], dtype=int)
-    counts = np.bincount(flat, minlength=n_cells).astype(float) + alpha
+    flat = np.ravel_multi_index(codes, cards)
+    counts = np.bincount(flat, minlength=n_cells).astype(float)
     mass = counts / counts.sum()
     return EmpiricalPmf(axes=axes, cardinalities=tuple(cards), mass=mass.reshape(cards))
 
@@ -147,11 +140,7 @@ class Discretizer:
     """
 
     schema: FeatureSchema
-    bins: int
     edges: dict
-
-    def cardinality(self, index: int) -> int:
-        return len(self.edges[index]) + 1
 
 
 def fit_discretizer(ds: TabularDataset, bins: int = 5) -> Discretizer:
@@ -169,7 +158,7 @@ def fit_discretizer(ds: TabularDataset, bins: int = 5) -> Discretizer:
         e = np.unique(np.quantile(vals, qs))
         e.setflags(write=False)
         edges[j] = e
-    return Discretizer(schema=ds.schema, bins=bins, edges=edges)
+    return Discretizer(schema=ds.schema, edges=edges)
 
 
 def apply_discretizer(disc: Discretizer, ds: TabularDataset) -> TabularDataset:

@@ -1,15 +1,16 @@
 """Importance-weight representations.
 
 A weight function assigns w(x, y) >= 0 to each row of a dataset; the
-estimators exchange these objects. Lookup-table weights (over a small
-feature subset and the label) and basis-expansion weights follow the two
-canonical parameterizations; kernel and classifier-ratio weights carry the
+estimators return these objects, and the method runner evaluates each one
+once on its source. Lookup-table weights (over a small feature subset and
+the label) and basis-expansion weights follow the two canonical
+parameterizations; kernel and classifier-ratio weights carry the
 feature-only baselines, which ignore y by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -36,19 +37,9 @@ def gaussian_kernel(x: np.ndarray, centers: np.ndarray, gamma: float) -> np.ndar
 
 
 class WeightFunction:
-    """Shared surface: per-row evaluation plus source-mean normalization."""
+    """Shared surface: per-row evaluation."""
 
     def weights_for(self, ds: TabularDataset) -> np.ndarray:
-        raise NotImplementedError
-
-    def normalized(self, source: TabularDataset) -> "WeightFunction":
-        """Rescale so the empirical source expectation of the weight is 1."""
-        mean = float(np.mean(self.weights_for(source)))
-        if mean <= 0:
-            raise ValidationError("cannot normalize: source mean weight is 0")
-        return self._scaled(1.0 / mean)
-
-    def _scaled(self, factor: float) -> "WeightFunction":
         raise NotImplementedError
 
 
@@ -102,9 +93,6 @@ class TableWeight(WeightFunction):
     def value(self, x_j, y: int) -> float:
         return self.table.get((tuple(int(v) for v in x_j), int(y)), self.fallback)
 
-    def _scaled(self, factor: float) -> "TableWeight":
-        return replace(self, table={k: w * factor for k, w in self.table.items()})
-
 
 @dataclass(frozen=True)
 class BasisWeight(WeightFunction):
@@ -130,26 +118,19 @@ class BasisWeight(WeightFunction):
             w[mask] = self.basis.design(ds.rows[mask]) @ self.coefficients[:, int(y) - 1]
         return w
 
-    def _scaled(self, factor: float) -> "BasisWeight":
-        return replace(self, coefficients=self.coefficients * factor)
-
 
 @dataclass(frozen=True)
 class KernelWeight(WeightFunction):
-    """Gaussian-kernel mixture w(x) = scale * sum_b alpha_b k(x, c_b)."""
+    """Gaussian-kernel mixture w(x) = sum_b alpha_b k(x, c_b)."""
 
     centers: np.ndarray
     alphas: np.ndarray
     gamma: float
     schema: FeatureSchema  # rows are compared in its one-hot encoding
-    scale: float = 1.0
 
     def weights_for(self, ds: TabularDataset) -> np.ndarray:
         k = gaussian_kernel(one_hot(self.schema, ds.rows), self.centers, self.gamma)
-        return self.scale * (k @ self.alphas)
-
-    def _scaled(self, factor: float) -> "KernelWeight":
-        return replace(self, scale=self.scale * factor)
+        return k @ self.alphas
 
 
 @dataclass(frozen=True)
@@ -164,6 +145,3 @@ class ModelRatioWeight(WeightFunction):
         rho = predict_probs(self.model, ds)[:, 1]
         raw = rho / np.maximum(1.0 - rho, 1e-12) * self.prior_ratio
         return self.scale * np.clip(raw, 0.0, CLIP_HI)
-
-    def _scaled(self, factor: float) -> "ModelRatioWeight":
-        return replace(self, scale=self.scale * factor)

@@ -98,7 +98,7 @@ def test_criterion_04_gap_calculator_identities(base6):
     base, model = base6
     scored = predict(model, binary_base(6, 4000, 77))
     unit = TableWeight(index_set=(), table={((), 1): 1.0, ((), 2): 1.0})
-    exact_zero = estimate_gap(scored, unit) == 0.0
+    exact_zero = estimate_gap(scored, unit.weights_for(scored)) == 0.0
 
     rng = np.random.default_rng(40)
     keys = [((v,), y) for v in (1, 2) for y in (1, 2)]
@@ -108,9 +108,8 @@ def test_criterion_04_gap_calculator_identities(base6):
         t2 = {k: rng.uniform(0, 4) for k in keys}
         al = rng.uniform()
         blend = {k: al * t1[k] + (1 - al) * t2[k] for k in keys}
-        d1 = estimate_gap(scored, TableWeight(index_set=(1,), table=t1))
-        d2 = estimate_gap(scored, TableWeight(index_set=(1,), table=t2))
-        db = estimate_gap(scored, TableWeight(index_set=(1,), table=blend))
+        d1, d2, db = (estimate_gap(scored, TableWeight(index_set=(1,), table=t).weights_for(scored))
+                      for t in (t1, t2, blend))
         max_dev = max(max_dev, abs(db - (al * d1 + (1 - al) * d2)))
     ok = exact_zero and max_dev < 1e-12
     report(4, "unit weights give zero gap; gap is linear in the weights", ok,
@@ -172,7 +171,9 @@ def test_criterion_06_finite_sample_recovery(base6):
             shifted = (1 + seed % 6,)
             source, target, truth = joint_trial(base, model, shifted, n, seed)
             weight, _, _ = run_sees_d(source, target, cfg)
-            rmse[n].append(float(np.sqrt(score_weights(weight, truth, source)["mse"])))
+            mse = score_weights(weight.weights_for(source),
+                                truth.true_weights.weights_for(source))["mse"]
+            rmse[n].append(float(np.sqrt(mse)))
     factor = float(np.mean(rmse[2500]) / np.mean(rmse[40000]))
     ok = hits >= 90 and 1.5 <= factor <= 6.0
     report(6, "shifted feature recovered >= 90/100; weight error shrinks with n",

@@ -156,8 +156,9 @@ class TestDlu:
         source, target, truth = joint_pair
         dlu_w, _ = run_dlu(source, target)
         sees_w, _, _ = run_sees_d(source, target, SeesDConfig(sparsity=1))
-        dlu_mse = score_weights(dlu_w, truth, source)["mse"]
-        sees_mse = score_weights(sees_w, truth, source)["mse"]
+        ref = truth.true_weights.weights_for(source)
+        dlu_mse = score_weights(dlu_w.weights_for(source), ref)["mse"]
+        sees_mse = score_weights(sees_w.weights_for(source), ref)["mse"]
         assert dlu_mse > sees_mse
 
 
@@ -169,3 +170,10 @@ class TestNormalization:
             vals = weight.weights_for(source)
             assert (vals >= 0).all()
             assert abs(float(np.mean(vals)) - 1.0) < 1e-6
+
+    def test_kliep_constraint_is_the_unit_source_mean(self, joint_pair):
+        # kliep's weight is returned as fitted: b . alpha = 1 with b the
+        # source mean of each kernel already puts its source mean at 1
+        source, target, _ = joint_pair
+        weight, _ = run_kliep(source, target)
+        assert abs(float(np.mean(weight.weights_for(source))) - 1.0) < 1e-12

@@ -313,6 +313,108 @@ def test_count_flag_below_one_is_rejected_up_front(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,path,category", [
+    (["simulate"], "missing/sim", "FILE_NOT_FOUND"),
+    (["simulate"], "taken", "FILE_ERROR"),  # taken.truth.json is a directory
+    (["bench", "--suite", "robustness", "--seeds", "1"], "missing/x.csv", "FILE_NOT_FOUND"),
+    (["bench", "--suite", "robustness", "--seeds", "1"], "", "FILE_ERROR"),  # a directory
+], ids=["simulate-missing-dir", "simulate-dir", "bench-missing-dir", "bench-dir"])
+def test_bad_output_path_fails_before_any_work(workspace, tmp_path, capsys, monkeypatch,
+                                               argv, path, category):
+    import shiftscope.bench
+    import shiftscope.cli
+
+    calls = []
+    for module, name in ((shiftscope.cli, "draw_pair"), (shiftscope.bench, "run_suite")):
+        def counted(*args, _name=name, _real=getattr(module, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    (tmp_path / "taken.truth.json").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    out = str(tmp_path / path)
+    if argv[0] == "simulate":
+        argv = argv + ["--spec-path", str(workspace / "spec.json"),
+                       "--base-path", str(workspace / "base.csv"),
+                       "--schema-path", str(workspace / "schema.json"),
+                       "--n", "500", "--out-prefix", out]
+    else:
+        argv = argv + ["--out", out]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"ERROR {category}: ")
+    assert err.count("\n") == 1
+    assert calls == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def _first_column(doc, key, value):
+    doc["columns"][0][key] = value
+    return doc
+
+
+def _label(doc, key, value):
+    doc["label"][key] = value
+    return doc
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: [],
+    lambda doc: {**doc, "columns": 5},
+    lambda doc: {**doc, "label": "y"},
+    lambda doc: _first_column(doc, "kind", "Discrete"),
+    lambda doc: _first_column(doc, "categories", "12"),
+    lambda doc: _first_column(doc, "categories", ["1", "1"]),
+    lambda doc: _label(doc, "categories", ["1", "1"]),
+], ids=["top-level-list", "columns-not-a-list", "label-not-an-object", "kind-case",
+        "categories-string", "duplicate-categories", "duplicate-label-categories"])
+def test_malformed_schema_is_a_validation_error(workspace, tmp_path, capsys, edit):
+    run_simulate(workspace)
+    bad = tmp_path / "schema.json"
+    bad.write_text(json.dumps(edit(json.loads((workspace / "schema.json").read_text()))))
+    code = main([
+        "estimate",
+        "--source-path", str(workspace / "sim.source.csv"),
+        "--target-path", str(workspace / "sim.target.csv"),
+        "--schema-path", str(bad),
+        "--output-path", str(tmp_path / "report.json"),
+        "--method", "bbse",
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"ERROR VALIDATION_ERROR: schema file {bad}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("method,empty", [
+    ("sees-c", "target"),
+    ("all", "target"),
+    ("all", "source"),
+])
+def test_file_without_data_rows_is_rejected_before_any_method_runs(
+        workspace, tmp_path, capsys, method, empty):
+    run_simulate(workspace)
+    paths = {part: workspace / f"sim.{part}.csv" for part in ("source", "target")}
+    header = paths[empty].read_text().splitlines()[0]
+    paths[empty] = tmp_path / f"{empty}.csv"
+    paths[empty].write_text(header + "\n")
+    out = tmp_path / "report.json"
+    code = main([
+        "estimate",
+        "--source-path", str(paths["source"]),
+        "--target-path", str(paths["target"]),
+        "--schema-path", str(workspace / "schema.json"),
+        "--output-path", str(out),
+        "--method", method,
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"ERROR VALIDATION_ERROR: {empty} file has no data rows\n"
+    assert not out.exists()
+
+
 class TestMixedSchema:
     def test_estimate_with_continuous_column(self, tmp_path):
         # continuous columns go through quantile binning for the subset

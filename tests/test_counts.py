@@ -332,6 +332,6 @@ def test_sees_c_with_external_predictions_matches_per_row(tmp_path, monkeypatch)
     assert diag["iterations"] == ref_diag["iterations"]
     np.testing.assert_allclose(weight.coefficients, ref_weight.coefficients,
                                rtol=1e-9, atol=1e-12)
-    ref_delta = estimate_gap(source, ref_weight)
+    ref_delta = estimate_gap(source, ref_weight.weights_for(source))
     assert report["delta_hat"] == pytest.approx(ref_delta, rel=1e-9, abs=1e-12)
     assert report["diagnostics"]["iterations"] == ref_diag["iterations"]

@@ -14,6 +14,8 @@ from shiftscope.data import (
     validate_dataset,
 )
 from shiftscope.errors import SchemaMismatch, ValidationError
+from shiftscope.sees_d import _normalize_table
+from shiftscope.tabulate import LABEL, estimate_pmf
 from shiftscope.weights import TableWeight
 
 
@@ -166,7 +168,8 @@ class TestTableWeightFallback:
             for v in (1, 2)
             for y in (1, 2)
         }
-        w = TableWeight(index_set=(1,), table=table).normalized(small_scored)
+        label_marg = estimate_pmf(small_scored, (1, LABEL)).mass
+        w = _normalize_table(TableWeight(index_set=(1,), table=table), label_marg)
         assert abs(np.mean(w.weights_for(small_scored)) - 1.0) < 1e-6
 
 

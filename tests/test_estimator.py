@@ -8,6 +8,7 @@ from shiftscope.errors import MissingTruth
 from shiftscope.estimator import (
     GroundTruth,
     estimate_gap,
+    run_method,
     score_gap,
     score_weights,
     select_features,
@@ -15,7 +16,7 @@ from shiftscope.estimator import (
 )
 from shiftscope.sees_c import default_basis
 from shiftscope.synth import stump, counterexample_fixture
-from shiftscope.weights import BasisWeight, TableWeight
+from shiftscope.weights import BasisWeight, KernelWeight, ModelRatioWeight, TableWeight
 
 
 def two_col_schema():
@@ -47,7 +48,7 @@ def dataset_matching_counterexample_source():
 
 class TestEstimateGap:
     def test_unit_weights_give_zero(self, small_scored):
-        assert estimate_gap(small_scored, unit_weight()) == 0.0
+        assert estimate_gap(small_scored, unit_weight().weights_for(small_scored)) == 0.0
 
     def test_two_row_hand_example(self):
         ds = TabularDataset(
@@ -59,7 +60,7 @@ class TestEstimateGap:
         w = TableWeight(index_set=(1,), table={
             ((1,), 1): 3.0, ((2,), 2): 7.0,
         })
-        assert estimate_gap(ds, w) == pytest.approx(1.0, abs=1e-15)
+        assert estimate_gap(ds, w.weights_for(ds)) == pytest.approx(1.0, abs=1e-15)
 
     def test_counterexample_analytic_gap_at_true_weights(self):
         # oracle: enumerate all 8 cells exactly with rational arithmetic
@@ -71,7 +72,7 @@ class TestEstimateGap:
         assert expected == Fraction(-1, 50)
 
         ds, _ = dataset_matching_counterexample_source()
-        delta = estimate_gap(ds, truth.true_weights)
+        delta = estimate_gap(ds, truth.true_weights.weights_for(ds))
         assert delta == pytest.approx(float(expected), abs=1e-12)
 
     def test_linearity_in_weights(self, small_scored):
@@ -82,9 +83,10 @@ class TestEstimateGap:
             t2 = {k: rng.uniform(0, 3) for k in keys}
             alpha = rng.uniform()
             blend = {k: alpha * t1[k] + (1 - alpha) * t2[k] for k in keys}
-            d1 = estimate_gap(small_scored, TableWeight(index_set=(1,), table=t1))
-            d2 = estimate_gap(small_scored, TableWeight(index_set=(1,), table=t2))
-            db = estimate_gap(small_scored, TableWeight(index_set=(1,), table=blend))
+            d1, d2, db = (
+                estimate_gap(small_scored,
+                             TableWeight(index_set=(1,), table=t).weights_for(small_scored))
+                for t in (t1, t2, blend))
             assert db == pytest.approx(alpha * d1 + (1 - alpha) * d2, abs=1e-12)
 
     def test_gap_within_bounds(self, small_scored):
@@ -93,7 +95,8 @@ class TestEstimateGap:
         bound = 20.0
         for _ in range(20):
             table = {((v,), y): rng.uniform(0, bound) for v in (1, 2) for y in (1, 2)}
-            delta = estimate_gap(small_scored, TableWeight(index_set=(1,), table=table))
+            w = TableWeight(index_set=(1,), table=table)
+            delta = estimate_gap(small_scored, w.weights_for(small_scored))
             assert -acc - 1e-12 <= delta <= (bound - 1.0) + 1e-12
 
 
@@ -143,7 +146,8 @@ class TestScoreWeights:
         table = {((v,), y): 0.5 + 0.3 * v + 0.1 * y for v in (1, 2) for y in (1, 2)}
         w = TableWeight(index_set=(1,), table=table)
         truth = GroundTruth(true_weights=w, true_shift_set=(1,))
-        out = score_weights(w, truth, small_scored)
+        out = score_weights(w.weights_for(small_scored),
+                            truth.true_weights.weights_for(small_scored))
         assert out["mse"] == 0.0 and out["pcc"] == pytest.approx(1.0)
 
     def test_constant_estimate_warns_and_zeroes_pcc(self, small_scored):
@@ -152,7 +156,8 @@ class TestScoreWeights:
         })
         truth = GroundTruth(true_weights=truth_w, true_shift_set=(1,))
         with pytest.warns(UserWarning, match="PCC"):
-            out = score_weights(unit_weight(), truth, small_scored)
+            out = score_weights(unit_weight().weights_for(small_scored),
+                                truth.true_weights.weights_for(small_scored))
         assert out["pcc"] == 0.0
 
 
@@ -178,3 +183,26 @@ class TestScoreGap:
         truth = GroundTruth(true_weights=unit_weight(), true_shift_set=())
         with pytest.raises(MissingTruth):
             score_gap(0.1, truth, 0.5)
+
+
+@pytest.mark.parametrize("method,expected", [
+    ("sees-d", {"TableWeight": 2}),  # the fitted table and the truth
+    ("sees-c", {"BasisWeight": 1, "TableWeight": 1}),
+    ("bbse", {"TableWeight": 2}),
+    ("kliep", {"KernelWeight": 1, "TableWeight": 1}),
+    ("dlu", {"ModelRatioWeight": 2, "TableWeight": 1}),  # one sets its scale
+])
+def test_run_method_evaluates_each_weight_once_on_its_source(method, expected, monkeypatch):
+    from shiftscope.bench import joint_trial, suite_fixture
+
+    base, model = suite_fixture(6)
+    source, target, truth = joint_trial(base, model, (1,), 2000, 0)
+    calls = {}
+    for cls in (TableWeight, BasisWeight, KernelWeight, ModelRatioWeight):
+        def counted(self, ds, _name=cls.__name__, _real=cls.weights_for):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(self, ds)
+
+        monkeypatch.setattr(cls, "weights_for", counted)
+    run_method(method, (source, target), (source, target), truth, 1)
+    assert calls == expected

@@ -59,7 +59,7 @@ class TestTraining:
             assert model.converged
             x = design_matrix(schema, data.rows)
             _, grad = logistic_loss_grad(model.coef.reshape(-1), x, data.labels - 1,
-                                         np.ones(data.n), model.l2_lambda)
+                                         np.ones(data.n), 1e-4)
             assert np.linalg.norm(grad) <= GRAD_TOL
         np.testing.assert_allclose(fits[0].coef, fits[1].coef, rtol=0, atol=1e-10)
 
@@ -90,7 +90,7 @@ class TestTraining:
         for iters in (1, 10, 100):
             model = train_logistic(small_base, max_iters=iters)
             loss, _ = logistic_loss_grad(model.coef.reshape(-1), x, y_idx,
-                                         np.ones(small_base.n), model.l2_lambda)
+                                         np.ones(small_base.n), 1e-4)
             losses.append(loss)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -110,7 +110,7 @@ class TestPredict:
     def test_exact_tie_picks_lowest_class(self, small_base):
         d = design_matrix(small_base.schema, small_base.rows).shape[1]
         model = LogisticModel(schema=small_base.schema, coef=np.zeros((d, 2)),
-                              l2_lambda=0.0, converged=True, iterations=0)
+                              converged=True, iterations=0)
         scored = predict(model, small_base)
         assert (scored.predictions == 1).all()
 

@@ -240,9 +240,9 @@ class TestRunSeesC:
         source, target, truth = sjs_pair
         basis = default_basis(source.schema)
         w, _ = run_sees_c(source, target, basis, SeesCConfig(max_iters=2000))
-        mse_c = score_weights(w, truth, source)["mse"]
+        mse_c = score_weights(w.weights_for(source), truth.true_weights.weights_for(source))["mse"]
         wb, _ = run_bbse(source, target)
-        mse_b = score_weights(wb, truth, source)["mse"]
+        mse_b = score_weights(wb.weights_for(source), truth.true_weights.weights_for(source))["mse"]
         assert mse_c < mse_b
 
 

@@ -101,9 +101,3 @@ class TestEstimatePmf:
         ds = TabularDataset(schema=schema, rows=[[1, 1, 1, 1]])
         with pytest.raises(ValidationError, match="refusing"):
             estimate_pmf(ds, (1, 2, 3, 4))
-
-    def test_additive_smoothing(self):
-        schema = FeatureSchema(columns=(Column("x1", "discrete", 2),), label_cardinality=2)
-        ds = TabularDataset(schema=schema, rows=[[1], [1], [1]])
-        pmf = estimate_pmf(ds, (1,), alpha=1.0)
-        assert np.allclose(pmf.mass, [4 / 5, 1 / 5])
