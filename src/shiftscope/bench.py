@@ -178,7 +178,7 @@ def run_suite(suite: str, seeds: int, out_path, parallel: bool = True) -> int:
     fields = ["suite", "param", "seed", "method", "delta_hat", "delta_true",
               "gap_sq_error", "weight_mse", "weight_pcc", "recovered"]
     count = 0
-    with open(out_path, "w", newline="") as fh:
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         for chunk in chunks:

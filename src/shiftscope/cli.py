@@ -25,6 +25,7 @@ from .data import (
     encode_code,
     load_dataset,
     load_schema,
+    open_input,
     save_dataset,
     validate_dataset,
 )
@@ -52,7 +53,7 @@ def _load_cells(path, schema: FeatureSchema, cells_key: str, value_key: str, bui
     or truth file; anything malformed raises ValidationError naming the
     file."""
     try:
-        with open(path) as fh:
+        with open_input(path) as fh:
             raw = json.load(fh)
         shifted = tuple(sorted(_decode_feature(schema, f) for f in raw["shifted_features"]))
         cols = [schema.column(j) for j in shifted]
@@ -98,7 +99,7 @@ def save_truth(path, schema: FeatureSchema, truth: GroundTruth) -> None:
         "weights": cells,
         "true_target_accuracy": truth.true_target_accuracy,
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -197,7 +198,7 @@ def cmd_estimate(args: argparse.Namespace) -> None:
     if len(errors) == len(methods):
         raise errors[0]
     payload = entries[0] if len(entries) == 1 else entries
-    with open(args.output_path, "w") as fh:
+    with open(args.output_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {args.output_path}")

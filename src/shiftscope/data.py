@@ -15,16 +15,28 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import MalformedRow, SchemaMismatch, ValidationError
+from .errors import InputError, MalformedRow, SchemaMismatch, ValidationError
 
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
 
 PROB_ROW_TOL = 1e-9
+
+
+@contextmanager
+def open_input(path, newline=None):
+    """Open an input file as UTF-8 text; bytes that do not decode raise
+    InputError naming the file."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _check_distinct(categories: tuple[str, ...] | None, owner: str) -> None:
@@ -301,7 +313,7 @@ def _schema_categories(owner: dict) -> tuple[str, ...]:
 def load_schema(path) -> FeatureSchema:
     """Anything malformed in the schema file raises ValidationError naming it."""
     try:
-        with open(path) as fh:
+        with open_input(path) as fh:
             raw = json.load(fh)
         cols = []
         for c in raw["columns"]:
@@ -336,7 +348,7 @@ def save_schema(schema: FeatureSchema, path) -> None:
         str(v) for v in range(1, schema.label_cardinality + 1)
     )
     doc = {"columns": cols, "label": {"name": schema.label_name, "categories": list(lab_cats)}}
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -390,13 +402,16 @@ def _decode_label(schema: FeatureSchema, raw: str, line_no: int) -> int:
 
 def load_dataset(path, schema: FeatureSchema) -> TabularDataset:
     """Read a CSV against ``schema``; the label column may be absent."""
-    with open(path, newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValidationError(f"{path}: empty file")
         header = [h.strip() for h in header]
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise SchemaMismatch(f"{path}: column {name!r} appears twice in the header")
         positions = {}
         for c in schema.columns:
             if c.name not in header:
@@ -435,7 +450,7 @@ def save_dataset(ds: TabularDataset, path, include_labels: bool = True) -> None:
     """
     schema = ds.schema
     labeled = include_labels and ds.labels is not None
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         header = [c.name for c in schema.columns]
         if labeled:

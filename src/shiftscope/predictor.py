@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DISCRETE, FeatureSchema, TabularDataset, check_columns
+from .data import DISCRETE, FeatureSchema, TabularDataset, check_columns, open_input
 from .errors import MalformedRow, RowCountMismatch, ValidationError
 from .tabulate import distinct_first
 
@@ -178,7 +178,7 @@ def load_predictions(ds: TabularDataset, path) -> TabularDataset:
     """
     L = ds.schema.n_labels
     preds, probs = [], []
-    with open(path, newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         expected = ["pred"] + [f"p_{i}" for i in range(1, L + 1)]

@@ -23,8 +23,6 @@ from .tabulate import (LABEL, MAX_TABLE_CELLS, PREDICTION, EmpiricalPmf, _axis_c
 from .weights import TableWeight
 
 TIE_TOL = 1e-12
-SOLVER_TOL = 1e-10  # a box least-squares step moving no weight by more ends it
-SOLVER_MAX_ITERS = 10000
 
 
 @dataclass(frozen=True)
@@ -130,65 +128,48 @@ class _Tables:
 
 
 def _box_ls(A: np.ndarray, b: np.ndarray, hi: float) -> tuple[np.ndarray, float, int]:
-    """min ||A w - b||^2 over the box [0, hi]^k.
+    """min ||A w - b||^2 over the box [0, hi]^k by bounded-variable least
+    squares (Stark & Parker 1995).
 
-    Projected gradient with exact line search on the quadratic, halving the
-    step whenever projection breaks descent. A final active-set polish
-    re-solves the free coordinates by plain least squares, which pins
-    interior optima to machine precision on poorly conditioned blocks.
+    The free coordinates are solved by plain least squares while the others
+    are held at 0 or hi; the first solve frees every coordinate. A solve that
+    leaves the box steps to the first bound it meets and holds that
+    coordinate there. A held coordinate is freed when the gradient points
+    into the box. The search ends when no held coordinate qualifies, or when
+    freeing one fails to lower the residual, which only rounding can cause.
+    Returns (w, residual, number of active-set changes).
     """
-    k = A.shape[1]
-    AtA = A.T @ A
-    Atb = A.T @ b
-
-    def obj(v):
-        r = A @ v - b
-        return float(r @ r)
-
-    # fast path: the unconstrained optimum is also the box optimum when it
-    # lands inside the box, which is the common case
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if (sol >= 0.0).all() and (sol <= hi).all():
-        return sol, obj(sol), 0
-
-    w = np.clip(sol, 0.0, hi)
-    f = obj(w)
-    iters = 0
-    for iters in range(1, SOLVER_MAX_ITERS + 1):
-        g = 2.0 * (AtA @ w - Atb)
-        denom = 2.0 * float(g @ (AtA @ g))
-        if denom <= 0.0:
-            break
-        t = float(g @ g) / denom
-        w_new = np.clip(w - t * g, 0.0, hi)
-        f_new = obj(w_new)
-        halvings = 0
-        while f_new > f + 1e-18 and halvings < 60:
-            t *= 0.5
-            w_new = np.clip(w - t * g, 0.0, hi)
-            f_new = obj(w_new)
-            halvings += 1
-        if f_new > f + 1e-18:
-            break
-        step = float(np.max(np.abs(w_new - w)))
-        gain = f - f_new
-        w, f = w_new, f_new
-        if step < SOLVER_TOL or gain < 1e-16 * (1.0 + f):
-            break
-
-    g = 2.0 * (AtA @ w - Atb)
-    bound = 1e-10 * max(hi, 1.0)
-    free = ~(((w <= bound) & (g > 0)) | ((w >= hi - bound) & (g < 0)))
-    if free.any():
-        rhs = b - A[:, ~free] @ w[~free] if (~free).any() else b
-        sol, *_ = np.linalg.lstsq(A[:, free], rhs, rcond=None)
-        if (sol >= -1e-9).all() and (sol <= hi + 1e-9).all():
-            cand = w.copy()
-            cand[free] = np.clip(sol, 0.0, hi)
-            f_cand = obj(cand)
-            if f_cand <= f + 1e-18:
-                w, f = cand, f_cand
-    return w, f, iters
+    w = np.zeros(A.shape[1])
+    free = np.ones(A.shape[1], dtype=bool)
+    changes = 0
+    best = (w, np.inf, changes)
+    while True:
+        while True:
+            z = w.copy()
+            z[free], *_ = np.linalg.lstsq(A[:, free], b - A[:, ~free] @ w[~free], rcond=None)
+            out = np.flatnonzero(free & ((z < 0.0) | (z > hi)))
+            if not out.size:
+                break
+            # walk from w toward z until the first coordinate meets its bound
+            edge = np.where(z[out] < 0.0, 0.0, hi)
+            step = (edge - w[out]) / (z[out] - w[out])
+            i = np.argmin(step)
+            w = np.clip(w + step[i] * (z - w), 0.0, hi)
+            w[out[i]] = edge[i]
+            free[out[i]] = False
+            changes += 1
+        r = A @ z - b
+        f = float(r @ r)
+        if f >= best[1]:
+            return best
+        w, best = z, (z, f, changes)
+        g = A.T @ r
+        # positive where moving a held coordinate into the box lowers the residual
+        pull = np.where(free, 0.0, np.where(w == 0.0, -g, g))
+        if pull.max() <= 0.0:
+            return best
+        free[np.argmax(pull)] = True
+        changes += 1
 
 
 def _blocks_for(tables, J, s: int):

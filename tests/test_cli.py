@@ -389,6 +389,57 @@ def test_malformed_schema_is_a_validation_error(workspace, tmp_path, capsys, edi
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("part", ["source", "schema", "predictions", "truth"])
+def test_non_utf8_input_is_an_input_error(workspace, tmp_path, capsys, part):
+    run_simulate(workspace)
+    paths = {"source": workspace / "sim.source.csv", "schema": workspace / "schema.json",
+             "truth": workspace / "sim.truth.json"}
+    preds = tmp_path / "preds.csv"
+    preds.write_text("pred,p_1,p_2\n" + "1,0.9,0.1\n" * 4000)
+    paths["predictions"] = preds
+    bad = tmp_path / f"bad.{paths[part].name}"
+    text = paths[part].read_bytes()
+    cut = len(text) // 2
+    bad.write_bytes(text[:cut] + b"\xff" + text[cut:])
+    paths[part] = bad
+    code = main([
+        "estimate",
+        "--source-path", str(paths["source"]),
+        "--target-path", str(workspace / "sim.target.csv"),
+        "--schema-path", str(paths["schema"]),
+        "--predictions-path", f"{paths['predictions']},{preds}",
+        "--truth-path", str(paths["truth"]),
+        "--output-path", str(tmp_path / "report.json"),
+        "--method", "bbse",
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"ERROR INVALID_INPUT: {bad}: not UTF-8 text: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("name", ["x1", "y"])
+def test_duplicate_header_column_is_rejected(workspace, tmp_path, capsys, name):
+    run_simulate(workspace)
+    lines = (workspace / "sim.source.csv").read_text().splitlines()
+    first = lines[0].split(",").index(name)
+    bad = tmp_path / "source.csv"
+    bad.write_text("\n".join(f"{line},{line.split(',')[first]}" for line in lines) + "\n")
+    code = main([
+        "estimate",
+        "--source-path", str(bad),
+        "--target-path", str(workspace / "sim.target.csv"),
+        "--schema-path", str(workspace / "schema.json"),
+        "--output-path", str(tmp_path / "report.json"),
+        "--method", "bbse",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"ERROR SCHEMA_MISMATCH: {bad}: column {name!r} appears twice in the header\n")
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("method,empty", [
     ("sees-c", "target"),
     ("all", "target"),

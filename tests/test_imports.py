@@ -1,0 +1,27 @@
+"""The package imports only the standard library, numpy and itself at run
+time, matching ``dependencies`` in pyproject.toml; scipy is for tests only."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "shiftscope"
+RUNTIME = {"numpy", "shiftscope"}
+
+
+def imported_roots(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            yield node.lineno, "shiftscope" if node.level else node.module.split(".")[0]
+
+
+def test_runtime_imports_are_stdlib_numpy_or_shiftscope():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    for path in files:
+        for line, root in imported_roots(ast.parse(path.read_text(encoding="utf-8"))):
+            assert root in RUNTIME or root in sys.stdlib_module_names, (
+                f"{path.name}:{line} imports {root}")

@@ -2,12 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import lsq_linear
 
 from shiftscope.errors import TooManyCandidates, ValidationError
 from shiftscope.data import Column, FeatureSchema, TabularDataset
 from shiftscope.sees_d import (
     SeesDConfig,
+    _box_ls,
     enumerate_kappas,
     fit_candidate,
     fit_candidate_population,
@@ -233,3 +236,89 @@ class TestLabelShiftDegenerate:
         assert selected == ()
         assert weight.value((), 1) == pytest.approx(0.4, abs=1e-9)
         assert weight.value((), 2) == pytest.approx(1.6, abs=1e-9)
+
+
+@st.composite
+def box_problems(draw):
+    """(A, b, hi) with 1 to 4 columns, some zero or duplicated, and a right
+    side drawn around a point that may lie below 0 or above hi."""
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    A = np.array(draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                               min_size=m, max_size=m)))
+    for j, kind in enumerate(draw(st.lists(st.sampled_from(["own", "zero", "copy"]),
+                                           min_size=k, max_size=k))):
+        if kind == "zero":
+            A[:, j] = 0.0
+        elif kind == "copy" and j:
+            A[:, j] = A[:, j - 1]
+    hi = draw(st.sampled_from([1.0, 2.5, 20.0]))
+    center = np.array(draw(st.lists(st.floats(-hi, 2 * hi), min_size=k, max_size=k)))
+    noise = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+    return A, A @ center + draw(st.sampled_from([0.0, 0.01, 1.0])) * noise, hi
+
+
+class TestBoxLeastSquares:
+    @settings(max_examples=300, deadline=None)
+    @given(box_problems())
+    def test_matches_bounded_least_squares_oracle(self, problem):
+        A, b, hi = problem
+        w, residual, changes = _box_ls(A, b, hi)
+        assert w.shape == (A.shape[1],)
+        assert ((w >= 0.0) & (w <= hi)).all()
+        r = A @ w - b
+        assert residual == float(r @ r)
+        oracle = lsq_linear(A, b, bounds=(0.0, hi), method="bvls", tol=1e-14)
+        best = float(np.sum((A @ oracle.x - b) ** 2))
+        assert abs(residual - best) <= 1e-12 * (1.0 + best)
+        assert changes >= 0
+
+    def test_optimum_on_both_bounds(self):
+        A = np.eye(3)
+        w, residual, changes = _box_ls(A, np.array([-1.0, 0.5, 30.0]), 20.0)
+        assert w.tolist() == [0.0, 0.5, 20.0]
+        assert residual == pytest.approx(101.0)
+        assert changes == 2
+
+    def test_interior_optimum_takes_no_changes(self):
+        A = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        w, residual, changes = _box_ls(A, A @ np.array([2.0, 3.0]), 20.0)
+        assert w == pytest.approx([2.0, 3.0])
+        assert residual < 1e-24
+        assert changes == 0
+
+
+def three_label_pair():
+    """Source and target over x1 in 1..3 and x2, x3 in 1..2 with three
+    labels. The target repeats each source (x, y) row m(x1, y) times, so the
+    pair is under an exact shift on {x1} with weights proportional to m."""
+    rng = np.random.default_rng(11)
+    cols = (Column("x1", "discrete", 3), Column("x2", "discrete", 2),
+            Column("x3", "discrete", 2))
+    schema = FeatureSchema(columns=cols, label_cardinality=3)
+    m = rng.integers(1, 5, size=(3, 3))
+    cells = [(x, y) for x in itertools.product((1, 2, 3), (1, 2), (1, 2)) for y in (1, 2, 3)]
+    counts = rng.integers(1, 7, size=len(cells))
+    src = [cell for cell, c in zip(cells, counts) for _ in range(c)]
+    tgt = [(x, y) for (x, y), c in zip(cells, counts) for _ in range(c * m[x[0] - 1, y - 1])]
+
+    def dataset(rows, labeled):
+        x = np.array([r[0] for r in rows], dtype=float)
+        preds = 1 + (x[:, 0] + x[:, 1]).astype(int) % 3
+        return TabularDataset(schema=schema, rows=x, predictions=preds,
+                              labels=[r[1] for r in rows] if labeled else None)
+
+    source, target = dataset(src, True), dataset(tgt, False)
+    return source, target, m * source.n / target.n
+
+
+def test_three_labels_recover_the_shifted_feature():
+    source, target, truth = three_label_pair()
+    weight, selected, diag = run_sees_d(source, target, SeesDConfig(sparsity=1))
+    assert selected == (1,)
+    assert diag["dd(1)"] < 1e-20
+    assert diag["dd(2)"] > 1e-6 and diag["dd(3)"] > 1e-6
+    for x1 in (1, 2, 3):
+        for y in (1, 2, 3):
+            assert weight.value((x1,), y) == pytest.approx(truth[x1 - 1, y - 1], abs=1e-9)
