@@ -18,51 +18,38 @@ KLIEP_ITERS = 2500
 KLIEP_TOL = 1e-7  # one step's objective gain below this ends the ascent
 
 
-def _bbse_solve(confusion: np.ndarray, mu: np.ndarray, label_marg: np.ndarray):
-    cond = float(np.linalg.cond(confusion))
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularConfusion(f"confusion matrix condition number {cond:.3g}")
-    w = np.linalg.solve(confusion, mu)
-    w = np.clip(w, 0.0, None)
-    mean = float(label_marg @ w)
-    if mean <= 0:
-        raise SingularConfusion("clipped solution has zero source mass")
-    w = w / mean
-    return w, cond
-
-
-def _bbse_weight(w: np.ndarray) -> TableWeight:
-    return TableWeight(
-        index_set=(),
-        table={((), y): float(w[y - 1]) for y in range(1, len(w) + 1)},
-    )
-
-
 def run_bbse(source: TabularDataset, target: TabularDataset) -> tuple[TableWeight, dict]:
-    """Solve the hard-prediction confusion system C w = mu for label weights.
-
-    Negative solution entries are clipped to zero before renormalizing the
-    source expectation to 1.
-    """
+    """BBSE label weights: ``run_bbse_population`` on the ``estimate_pmf``
+    joints of the two datasets."""
     if source.labels is None or source.predictions is None:
         raise ValidationError("BBSE needs source labels and predictions")
     if target.predictions is None:
         raise ValidationError("BBSE needs target predictions")
-    confusion = estimate_pmf(source, (PREDICTION, LABEL)).mass
-    mu = estimate_pmf(target, (PREDICTION,)).mass
-    label_marg = estimate_pmf(source, (LABEL,)).mass
-    w, cond = _bbse_solve(confusion, mu, label_marg)
-    return _bbse_weight(w), {"condition_number": cond, "min_class_weight": float(w.min())}
+    return run_bbse_population(estimate_pmf(source, (PREDICTION, LABEL)),
+                               estimate_pmf(target, (PREDICTION,)))
 
 
 def run_bbse_population(source_joint: EmpiricalPmf,
                         target_joint: EmpiricalPmf) -> tuple[TableWeight, dict]:
-    """Population mode over exact joint tables (features..., prediction[, label])."""
+    """Solve the hard-prediction confusion system C w = mu for label weights,
+    from joints over (..., prediction, label) and (..., prediction).
+
+    Negative solution entries are clipped to zero before renormalizing the
+    source expectation to 1.
+    """
     confusion = source_joint.marginal((PREDICTION, LABEL)).mass
     mu = target_joint.marginal((PREDICTION,)).mass
     label_marg = source_joint.marginal((LABEL,)).mass
-    w, cond = _bbse_solve(confusion, mu, label_marg)
-    return _bbse_weight(w), {"condition_number": cond, "min_class_weight": float(w.min())}
+    cond = float(np.linalg.cond(confusion))
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        raise SingularConfusion(f"confusion matrix condition number {cond:.3g}")
+    w = np.clip(np.linalg.solve(confusion, mu), 0.0, None)
+    mean = float(label_marg @ w)
+    if mean <= 0:
+        raise SingularConfusion("clipped solution has zero source mass")
+    w = w / mean
+    weight = TableWeight(index_set=(), table={((), y): float(v) for y, v in enumerate(w, start=1)})
+    return weight, {"condition_number": cond, "min_class_weight": float(w.min())}
 
 
 def _median_pairwise(x: np.ndarray, limit: int = 1000) -> float:

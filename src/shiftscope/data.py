@@ -286,7 +286,8 @@ class ShiftReport:
 
     @property
     def estimated_target_accuracy(self) -> float:
-        return self.source_accuracy + self.delta_hat
+        # rounding in weights of source mean 1 can carry the sum past 1
+        return min(1.0, max(0.0, self.source_accuracy + self.delta_hat))
 
     def to_dict(self) -> dict:
         return {

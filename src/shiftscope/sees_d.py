@@ -6,6 +6,10 @@ against the reweighted source marginal by box-constrained least squares;
 the candidate attaining the smallest residual wins. For a fixed value of
 x_J the unknowns are the L weights w(x_J, .), so the system decouples into
 tiny per-cell blocks.
+
+Both modes read the one table type, ``EmpiricalPmf``: sample mode is
+population mode on ``estimate_pmf`` joints, and only a marginal's ``.mass``
+is ever made dense.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ import numpy as np
 
 from .data import TabularDataset
 from .errors import TooManyCandidates, ValidationError
-from .tabulate import (LABEL, MAX_TABLE_CELLS, PREDICTION, EmpiricalPmf, _axis_column,
-                       distinct_rows)
+from .tabulate import LABEL, PREDICTION, EmpiricalPmf, estimate_pmf
 from .weights import TableWeight
 
 TIE_TOL = 1e-12
@@ -61,72 +64,6 @@ def enumerate_kappas(J, d: int, s: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-class _Tables:
-    """Source (features..., prediction, label) and target (features...,
-    prediction) joints, each kept as its distinct 0-based cells (one column
-    per cell), each cell's mass and a total.
-
-    A marginal is one bincount over the cells, divided by the total. From
-    samples the masses are integer counts, so every marginal equals
-    ``estimate_pmf`` on the same axes bit for bit.
-    """
-
-    def __init__(self, source, target, cards: tuple[int, ...]):
-        self.source, self.target = source, target  # (cells, mass, total)
-        self.cards = cards  # per source column: features..., prediction, label
-        self.d = len(cards) - 2
-        self.n_labels = cards[-1]
-
-    @classmethod
-    def from_samples(cls, source: TabularDataset, target: TabularDataset) -> "_Tables":
-        if source.labels is None or source.predictions is None:
-            raise ValidationError("source needs labels and predictions")
-        if target.predictions is None:
-            raise ValidationError("target needs predictions")
-        if source.n == 0 or target.n == 0:
-            raise ValidationError("cannot estimate a pmf from an empty dataset")
-        feats = range(1, source.schema.d + 1)
-        sides = []
-        for ds, axes in ((source, (*feats, PREDICTION, LABEL)), (target, (*feats, PREDICTION))):
-            cells, inverse = distinct_rows([_axis_column(ds, a)[0] for a in axes])
-            sides.append((np.array(cells, dtype=int).T, np.bincount(inverse).astype(float),
-                          float(ds.n)))
-        L = source.schema.n_labels
-        return cls(*sides, (*(source.schema.column(j).cardinality for j in feats), L, L))
-
-    @classmethod
-    def from_joints(cls, source_joint: EmpiricalPmf, target_joint: EmpiricalPmf) -> "_Tables":
-        feat = tuple(range(1, len(source_joint.axes) - 1))
-        if not feat or source_joint.axes != (*feat, PREDICTION, LABEL):
-            raise ValidationError("source joint must have axes (features..., prediction, label)")
-        if target_joint.axes != (*feat, PREDICTION):
-            raise ValidationError("target joint must have axes (features..., prediction)")
-        sides = [(np.array(np.nonzero(j.mass)), j.mass[j.mass != 0], 1.0)
-                 for j in (source_joint, target_joint)]
-        return cls(*sides, source_joint.cardinalities)
-
-    def _marginal(self, side, cols: list[int]) -> np.ndarray:
-        cells, mass, total = side
-        cards = tuple(self.cards[c] for c in cols)
-        n_cells = int(np.prod(cards))
-        if n_cells > MAX_TABLE_CELLS:
-            raise ValidationError(f"refusing to materialize table with {n_cells} cells")
-        flat = np.ravel_multi_index(cells[cols], cards)
-        return (np.bincount(flat, weights=mass, minlength=n_cells) / total).reshape(cards)
-
-    def q(self, feats) -> np.ndarray:
-        """Target mass over (feats..., prediction), in the given order."""
-        return self._marginal(self.target, [j - 1 for j in feats] + [self.d])
-
-    def p(self, feats) -> np.ndarray:
-        """Source mass over (feats..., prediction, label)."""
-        return self._marginal(self.source, [j - 1 for j in feats] + [self.d, self.d + 1])
-
-    def label_marginal(self, J) -> np.ndarray:
-        """Source mass over (J..., label)."""
-        return self._marginal(self.source, [j - 1 for j in J] + [self.d + 1])
-
-
 def _box_ls(A: np.ndarray, b: np.ndarray, hi: float) -> tuple[np.ndarray, float, int]:
     """min ||A w - b||^2 over the box [0, hi]^k by bounded-variable least
     squares (Stark & Parker 1995).
@@ -135,14 +72,15 @@ def _box_ls(A: np.ndarray, b: np.ndarray, hi: float) -> tuple[np.ndarray, float,
     are held at 0 or hi; the first solve frees every coordinate. A solve that
     leaves the box steps to the first bound it meets and holds that
     coordinate there. A held coordinate is freed when the gradient points
-    into the box. The search ends when no held coordinate qualifies, or when
-    freeing one fails to lower the residual, which only rounding can cause.
+    into the box. The search starts at w = 0 and ends when no held
+    coordinate qualifies, or when a pass fails to strictly lower the best
+    residual, which only rounding or an overflowing solve can cause.
     Returns (w, residual, number of active-set changes).
     """
     w = np.zeros(A.shape[1])
     free = np.ones(A.shape[1], dtype=bool)
     changes = 0
-    best = (w, np.inf, changes)
+    best = (w, float(b @ b), changes)
     while True:
         while True:
             z = w.copy()
@@ -154,13 +92,15 @@ def _box_ls(A: np.ndarray, b: np.ndarray, hi: float) -> tuple[np.ndarray, float,
             edge = np.where(z[out] < 0.0, 0.0, hi)
             step = (edge - w[out]) / (z[out] - w[out])
             i = np.argmin(step)
-            w = np.clip(w + step[i] * (z - w), 0.0, hi)
+            if step[i] > 0.0:  # a solve that overflowed (z = +-inf) meets its bound at once
+                w = w + step[i] * (z - w)
+            w = np.clip(w, 0.0, hi)
             w[out[i]] = edge[i]
             free[out[i]] = False
             changes += 1
         r = A @ z - b
         f = float(r @ r)
-        if f >= best[1]:
+        if not f < best[1]:  # also a NaN residual
             return best
         w, best = z, (z, f, changes)
         g = A.T @ r
@@ -172,36 +112,49 @@ def _box_ls(A: np.ndarray, b: np.ndarray, hi: float) -> tuple[np.ndarray, float,
         changes += 1
 
 
-def _blocks_for(tables, J, s: int):
+def _sample_joints(source: TabularDataset, target: TabularDataset):
+    if source.labels is None or source.predictions is None:
+        raise ValidationError("source needs labels and predictions")
+    if target.predictions is None:
+        raise ValidationError("target needs predictions")
+    feats = range(1, source.schema.d + 1)
+    return (estimate_pmf(source, (*feats, PREDICTION, LABEL)),
+            estimate_pmf(target, (*feats, PREDICTION)))
+
+
+def _check_joints(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf):
+    feat = tuple(range(1, len(source_joint.axes) - 1))
+    if not feat or source_joint.axes != (*feat, PREDICTION, LABEL):
+        raise ValidationError("source joint must have axes (features..., prediction, label)")
+    if target_joint.axes != (*feat, PREDICTION):
+        raise ValidationError("target joint must have axes (features..., prediction)")
+    return source_joint, target_joint
+
+
+def _blocks_for(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf, J, s: int):
     """Per-x_J stacked (A, b) systems across every matching kappa."""
-    kappas = enumerate_kappas(J, tables.d, s)
-    L = tables.n_labels
-    cards_j = [tables.cards[j - 1] for j in J]
-    n_blocks = int(np.prod(cards_j)) if J else 1
-    rows_a = [[] for _ in range(n_blocks)]
-    rows_b = [[] for _ in range(n_blocks)]
-    for kappa in kappas:
+    L = source_joint.cardinalities[-1]
+    cards_j = [source_joint.cardinalities[j - 1] for j in J]
+    n_blocks = math.prod(cards_j)
+    p, q = [], []
+    for kappa in enumerate_kappas(J, len(source_joint.axes) - 2, s):
         # x_J leads, so each block is one leading index
         feats = (*J, *(k for k in kappa if k not in J))
-        q_f = tables.q(feats).reshape(n_blocks, -1)
-        p_f = tables.p(feats).reshape(n_blocks, -1, L)
-        for blk in range(n_blocks):
-            rows_a[blk].append(p_f[blk])
-            rows_b[blk].append(q_f[blk])
-    out = []
-    for blk in range(n_blocks):
-        xj = tuple(int(v) + 1 for v in np.unravel_index(blk, cards_j)) if J else ()
-        out.append((xj, np.vstack(rows_a[blk]), np.concatenate(rows_b[blk])))
-    return out
+        p.append(source_joint.marginal((*feats, PREDICTION, LABEL)).mass.reshape(n_blocks, -1, L))
+        q.append(target_joint.marginal((*feats, PREDICTION)).mass.reshape(n_blocks, -1))
+    return [(tuple(int(v) + 1 for v in np.unravel_index(blk, cards_j)),
+             np.vstack([m[blk] for m in p]), np.concatenate([m[blk] for m in q]))
+            for blk in range(n_blocks)]
 
 
-def _fit_blocks(tables, J, cfg: SeesDConfig) -> CandidateFit:
-    L = tables.n_labels
+def _fit_blocks(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf, J,
+                cfg: SeesDConfig) -> CandidateFit:
+    L = source_joint.cardinalities[-1]
     table = {}
     distance = 0.0
     unconstrained = 0
     iterations = 0
-    for xj, A, b in _blocks_for(tables, J, cfg.sparsity):
+    for xj, A, b in _blocks_for(source_joint, target_joint, J, cfg.sparsity):
         keep = (A.max(axis=1) > 0) | (b > 0)
         A_k, b_k = A[keep], b[keep]
         w = np.ones(L)
@@ -227,23 +180,25 @@ def _fit_blocks(tables, J, cfg: SeesDConfig) -> CandidateFit:
 
 def fit_candidate(source: TabularDataset, target: TabularDataset, J,
                   cfg: SeesDConfig) -> CandidateFit:
-    return _fit_blocks(_Tables.from_samples(source, target), tuple(sorted(J)), cfg)
+    return _fit_blocks(*_sample_joints(source, target), tuple(sorted(J)), cfg)
 
 
 def fit_candidate_population(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf,
                              J, cfg: SeesDConfig) -> CandidateFit:
-    return _fit_blocks(_Tables.from_joints(source_joint, target_joint), tuple(sorted(J)), cfg)
+    return _fit_blocks(*_check_joints(source_joint, target_joint), tuple(sorted(J)), cfg)
 
 
-def _search(tables: _Tables, cfg: SeesDConfig) -> tuple[TableWeight, tuple[int, ...], dict]:
-    d = tables.d
+def _search(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf,
+            cfg: SeesDConfig) -> tuple[TableWeight, tuple[int, ...], dict]:
+    d = len(source_joint.axes) - 2
     s = cfg.sparsity
     if s > d:
         raise ValidationError(f"sparsity {s} exceeds feature count {d}")
     n_cand = math.comb(d, s)
     if n_cand > 10**5:
         raise TooManyCandidates(f"{n_cand} candidate subsets of size {s} (limit 1e5)")
-    fits = [_fit_blocks(tables, J, cfg) for J in combinations(range(1, d + 1), s)]
+    fits = [_fit_blocks(source_joint, target_joint, J, cfg)
+            for J in combinations(range(1, d + 1), s)]
     best = fits[0]
     for cand in fits[1:]:
         if cand.distance < best.distance - TIE_TOL:
@@ -253,8 +208,8 @@ def _search(tables: _Tables, cfg: SeesDConfig) -> tuple[TableWeight, tuple[int, 
     diagnostics["unconstrained_cells"] = float(best.unconstrained_cells)
     diagnostics["solver_iterations"] = float(best.solver_iterations)
     diagnostics["candidates"] = float(len(fits))
-    weight = _normalize_table(best.weights, tables.label_marginal(best.index_set))
-    return weight, best.index_set, diagnostics
+    label_marg = source_joint.marginal((*best.index_set, LABEL)).mass
+    return _normalize_table(best.weights, label_marg), best.index_set, diagnostics
 
 
 def _normalize_table(weight: TableWeight, label_marg: np.ndarray) -> TableWeight:
@@ -279,10 +234,10 @@ def run_sees_d(source: TabularDataset, target: TabularDataset,
     Distances are compared before normalization; ties within 1e-12 go to
     the lexicographically smallest candidate.
     """
-    return _search(_Tables.from_samples(source, target), cfg)
+    return _search(*_sample_joints(source, target), cfg)
 
 
 def run_sees_d_population(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf,
                           cfg: SeesDConfig) -> tuple[TableWeight, tuple[int, ...], dict]:
-    """Population mode: identical search over exact joint tables."""
-    return _search(_Tables.from_joints(source_joint, target_joint), cfg)
+    """Population mode: the same search over exact joints."""
+    return _search(*_check_joints(source_joint, target_joint), cfg)

@@ -186,14 +186,15 @@ def stump(feature_index: int):
 
 def population_joint(dist: AnalyticDistribution, classifier,
                      include_label: bool = True) -> EmpiricalPmf:
-    """Exact joint table over (features..., prediction[, label]).
+    """Exact joint over (features..., prediction[, label]), with its cells
+    in ascending order.
 
     ``classifier`` maps a 1-based value tuple to a class in {1..L}.
     """
     d = dist.schema.d
     L = dist.schema.n_labels
     cards = [c.cardinality for c in dist.schema.columns] + [L] + ([L] if include_label else [])
-    mass = np.zeros(cards)
+    mass: dict[tuple, float] = {}
     for (x, y), m in dist.cells.items():
         f = classifier(x)
         if not 1 <= f <= L:
@@ -201,9 +202,12 @@ def population_joint(dist: AnalyticDistribution, classifier,
         idx = tuple(v - 1 for v in x) + (f - 1,)
         if include_label:
             idx = idx + (y - 1,)
-        mass[idx] += float(m)
+        mass[idx] = mass.get(idx, 0.0) + float(m)
+    keys = sorted(mass)
     axes = tuple(range(1, d + 1)) + (PREDICTION,) + ((LABEL,) if include_label else ())
-    return EmpiricalPmf(axes=axes, cardinalities=tuple(cards), mass=mass)
+    return EmpiricalPmf(axes=axes, cardinalities=tuple(cards),
+                        cells=np.array(keys).T,
+                        weights=[mass[k] for k in keys], total=1.0)
 
 
 def sample_analytic(dist: AnalyticDistribution, n: int, seed: int,

@@ -1,7 +1,13 @@
-"""Empirical probability mass tables and quantile discretization."""
+"""Probability tables and quantile discretization.
+
+:class:`EmpiricalPmf` is the one table type: the distinct cells of a joint
+with their weights. Sample mode is population mode on ``estimate_pmf``
+joints, and only :attr:`EmpiricalPmf.mass` materializes a dense table.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,43 +23,50 @@ MAX_TABLE_CELLS = 10**7
 
 @dataclass(frozen=True)
 class EmpiricalPmf:
-    """Normalized mass table over a tuple of axes.
+    """Mass over a tuple of axes, kept as weighted cells.
 
     Each axis is a 1-based feature index, or one of the sentinels
-    ``PREDICTION`` / ``LABEL``.
+    ``PREDICTION`` / ``LABEL``. ``cells`` has one row per axis and one
+    column per cell, holding 0-based codes; a cell's mass is its weight
+    divided by ``total``.
     """
 
     axes: tuple
     cardinalities: tuple[int, ...]
-    mass: np.ndarray
+    cells: np.ndarray
+    weights: np.ndarray
+    total: float
 
     def __post_init__(self):
         object.__setattr__(self, "axes", tuple(self.axes))
         object.__setattr__(self, "cardinalities", tuple(self.cardinalities))
-        mass = np.asarray(self.mass, dtype=float)
-        if mass.shape != self.cardinalities:
-            raise ValidationError(
-                f"mass shape {mass.shape} != cardinalities {self.cardinalities}"
-            )
-        mass = mass.copy()
-        mass.setflags(write=False)
-        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "cells", np.asarray(self.cells, dtype=np.intp))
+        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        shape = (len(self.axes), self.weights.size)
+        if len(self.cardinalities) != shape[0] or self.cells.shape != shape:
+            raise ValidationError(f"cells {self.cells.shape} do not fit {shape[0]} axes "
+                                  f"and {shape[1]} weights")
 
     def marginal(self, axes) -> "EmpiricalPmf":
-        """Sum out everything except ``axes``, returned in the given order."""
+        """The same cells over ``axes`` alone, in the given order."""
         axes = tuple(axes)
         try:
             keep = [self.axes.index(a) for a in axes]
         except ValueError as exc:
             raise MissingAxis(f"axis not in table: {exc}") from exc
-        drop = tuple(i for i in range(len(self.axes)) if i not in keep)
-        summed = self.mass.sum(axis=drop) if drop else self.mass
-        # .sum keeps the surviving axes in original order; reorder to request
-        survivors = [i for i in range(len(self.axes)) if i not in drop]
-        perm = [survivors.index(i) for i in keep]
-        summed = np.transpose(summed, perm) if perm else summed.reshape(())
-        return EmpiricalPmf(axes=axes, mass=summed,
-                            cardinalities=tuple(self.cardinalities[i] for i in keep))
+        return EmpiricalPmf(axes=axes, cardinalities=tuple(self.cardinalities[i] for i in keep),
+                            cells=self.cells[keep], weights=self.weights, total=self.total)
+
+    @property
+    def mass(self) -> np.ndarray:
+        """The dense normalized table, shaped by ``cardinalities``."""
+        n_cells = math.prod(self.cardinalities)
+        if n_cells > MAX_TABLE_CELLS:
+            raise ValidationError(f"refusing to materialize table with {n_cells} cells")
+        flat = (np.ravel_multi_index(tuple(self.cells), self.cardinalities) if self.axes
+                else np.zeros(self.weights.size, dtype=np.intp))
+        counts = np.bincount(flat, weights=self.weights, minlength=n_cells)
+        return (counts / self.total).reshape(self.cardinalities)
 
 
 def distinct_first(columns) -> tuple[np.ndarray, np.ndarray]:
@@ -110,24 +123,17 @@ def _axis_column(ds: TabularDataset, axis) -> tuple[np.ndarray, int]:
 
 
 def estimate_pmf(ds: TabularDataset, axes) -> EmpiricalPmf:
-    """Empirical joint mass of the requested axes."""
+    """Empirical joint of the requested axes: each distinct row weighted by
+    its count, over the row count."""
     axes = tuple(axes)
-    codes, cards = [], []
-    for a in axes:
-        c, k = _axis_column(ds, a)
-        codes.append(c)
-        cards.append(k)
-    n_cells = int(np.prod(cards)) if cards else 1
-    if n_cells > MAX_TABLE_CELLS:
-        raise ValidationError(f"refusing to materialize table with {n_cells} cells")
     if not axes:
-        return EmpiricalPmf(axes=(), cardinalities=(), mass=np.array(1.0))
+        return EmpiricalPmf((), (), cells=np.zeros((0, 1)), weights=[1.0], total=1.0)
+    codes, cards = zip(*(_axis_column(ds, a) for a in axes))
     if ds.n == 0:
         raise ValidationError("cannot estimate a pmf from an empty dataset")
-    flat = np.ravel_multi_index(codes, cards)
-    counts = np.bincount(flat, minlength=n_cells).astype(float)
-    mass = counts / counts.sum()
-    return EmpiricalPmf(axes=axes, cardinalities=tuple(cards), mass=mass.reshape(cards))
+    firsts, inverse = distinct_first(codes)
+    return EmpiricalPmf(axes, cards, cells=[c[firsts] for c in codes],
+                        weights=np.bincount(inverse).astype(float), total=float(ds.n))
 
 
 @dataclass(frozen=True)

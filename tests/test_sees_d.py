@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import lsq_linear
 
@@ -262,6 +262,9 @@ def box_problems(draw):
 class TestBoxLeastSquares:
     @settings(max_examples=300, deadline=None)
     @given(box_problems())
+    # subnormal columns whose least-squares solve overflows to inf
+    @example((np.array([[0.0, 5e-324, 5e-324]]), np.array([0.01]), 1.0))
+    @example((np.array([[5e-324, 5e-324, 0.0]]), np.array([0.01]), 1.0))
     def test_matches_bounded_least_squares_oracle(self, problem):
         A, b, hi = problem
         w, residual, changes = _box_ls(A, b, hi)

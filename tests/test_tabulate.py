@@ -3,6 +3,7 @@ import pytest
 
 from shiftscope.data import Column, FeatureSchema, TabularDataset
 from shiftscope.errors import MissingAxis, TooFewDistinctValues, ValidationError
+from shiftscope.sees_d import SeesDConfig, run_sees_d
 from shiftscope.synth import stump, counterexample_fixture, population_joint
 from shiftscope.tabulate import (
     LABEL,
@@ -100,4 +101,22 @@ class TestEstimatePmf:
         schema = FeatureSchema(columns=cols, label_cardinality=2)
         ds = TabularDataset(schema=schema, rows=[[1, 1, 1, 1]])
         with pytest.raises(ValidationError, match="refusing"):
-            estimate_pmf(ds, (1, 2, 3, 4))
+            estimate_pmf(ds, (1, 2, 3, 4)).mass
+
+    def test_wide_schema_keeps_distinct_cells_only(self):
+        """10 features of 5 categories: the full joint with prediction and
+        label spans 39,062,500 cells, but only the observed ones are kept."""
+        rng = np.random.default_rng(5)
+        cols = tuple(Column(f"c{i}", "discrete", 5) for i in range(1, 11))
+        schema = FeatureSchema(columns=cols, label_cardinality=2)
+        rows = rng.integers(1, 6, size=(400, 10)).astype(float)
+        source = TabularDataset(schema=schema, rows=rows, labels=rng.integers(1, 3, size=400),
+                                predictions=rng.integers(1, 3, size=400))
+        joint = estimate_pmf(source, (*range(1, 11), PREDICTION, LABEL))
+        assert joint.cells.shape == (12, 400) and joint.weights.sum() == joint.total == 400
+        with pytest.raises(ValidationError, match="refusing"):
+            joint.mass
+        assert joint.marginal((3, LABEL)).mass.sum() == pytest.approx(1.0)
+        target = source.take(np.arange(200)).without_labels()
+        weight, selected, diag = run_sees_d(source, target, SeesDConfig(sparsity=1))
+        assert len(selected) == 1 and diag["candidates"] == 10.0
