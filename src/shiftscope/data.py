@@ -27,6 +27,10 @@ CONTINUOUS = "continuous"
 
 PROB_ROW_TOL = 1e-9
 
+# Rows per block when reading or writing CSV: large enough to amortize the
+# per-column work, small enough that a block of Python strings stays small.
+CHUNK_ROWS = 4096
+
 
 @contextmanager
 def open_input(path, newline=None):
@@ -217,7 +221,8 @@ def validate_dataset(ds: TabularDataset) -> list[str]:
         )
         for i in bad[:20]:
             findings.append(
-                f"row {i}: column {col.name!r} value {vals[i]!r} outside 1..{col.cardinality}"
+                f"row {i}: column {col.name!r} value {float(vals[i])!r} "
+                f"outside 1..{col.cardinality}"
             )
     for name in ("labels", "predictions"):
         vec = getattr(ds, name)
@@ -270,6 +275,9 @@ class ShiftReport:
     ``delta_hat`` is the estimated accuracy change, positive when target
     accuracy exceeds source accuracy. ``accuracy_drop`` (the negated value)
     is also emitted because shift reports are usually quoted as drops.
+    Rounding in weights of source mean 1 can carry the estimate past the
+    unit interval, so ``delta_hat`` is clipped to
+    ``[-source_accuracy, 1 - source_accuracy]`` on construction.
     """
 
     method: str
@@ -282,11 +290,13 @@ class ShiftReport:
     def __post_init__(self):
         if not 0.0 <= self.source_accuracy <= 1.0:
             raise ValidationError(f"source accuracy {self.source_accuracy} outside [0,1]")
+        acc = self.source_accuracy
+        object.__setattr__(self, "delta_hat", float(np.clip(self.delta_hat, -acc, 1.0 - acc)))
         object.__setattr__(self, "selected_features", tuple(self.selected_features))
 
     @property
     def estimated_target_accuracy(self) -> float:
-        # rounding in weights of source mean 1 can carry the sum past 1
+        # the sum of the clipped delta_hat and source_accuracy can still round past 1
         return min(1.0, max(0.0, self.source_accuracy + self.delta_hat))
 
     def to_dict(self) -> dict:
@@ -401,8 +411,96 @@ def _decode_label(schema: FeatureSchema, raw: str, line_no: int) -> int:
         raise MalformedRow(line_no, f"label: {exc}") from None
 
 
+def _decode_records(schema, recs, start, width, positions, label_pos):
+    """Decode records row by row, raising the first bad record's error in
+    file order. Returns (rows, labels) arrays; labels is None when the file
+    has no label column. A chunk can also land here without a bad record:
+    ``str.strip`` removes the separators U+001C-U+001F around a number,
+    while ``float`` refuses them."""
+    rows, labels = [], []
+    for line_no, rec in enumerate(recs, start=start):
+        if not rec:
+            continue
+        if len(rec) != width:
+            raise MalformedRow(line_no, f"expected {width} fields, got {len(rec)}")
+        rows.append([_decode_cell(c, rec[p], line_no) for c, p in zip(schema.columns, positions)])
+        if label_pos is not None:
+            labels.append(_decode_label(schema, rec[label_pos], line_no))
+    return (np.array(rows, dtype=float).reshape(len(rows), schema.d),
+            None if label_pos is None else np.array(labels, dtype=int))
+
+
+def _lookup(cache: dict, raws, decode, dtype) -> np.ndarray | None:
+    """Codes of ``raws``, decoding each string not yet in ``cache`` once;
+    None if any string does not decode."""
+    for raw in set(raws).difference(cache):
+        try:
+            cache[raw] = decode(raw)
+        except MalformedRow:
+            return None
+    return np.fromiter(map(cache.__getitem__, raws), dtype, len(raws))
+
+
+def _floats(raws) -> np.ndarray | None:
+    """Finite floats of ``raws``; None if any string is not one."""
+    try:
+        vals = np.fromiter(map(float, raws), float, len(raws))
+    except ValueError:
+        return None
+    return vals if np.isfinite(vals).all() else None
+
+
+def _decode_columns(schema, recs, width, positions, label_pos, caches):
+    """Decode records column by column; None if any check fails. ``caches``
+    holds one string -> code dict per discrete column and the label, kept
+    across chunks."""
+    recs = [rec for rec in recs if rec]
+    if any(len(rec) != width for rec in recs):
+        return None
+    fields = list(zip(*recs)) or [()] * width
+    rows = np.empty((len(recs), schema.d))
+    # the line number 0 passed to the decoders is never shown: a failure
+    # sends the chunk to _decode_records, which names the real line
+    for j, (c, p) in enumerate(zip(schema.columns, positions)):
+        if c.kind == DISCRETE:
+            vals = _lookup(caches[j], fields[p], lambda raw: _decode_cell(c, raw, 0), float)
+        else:
+            vals = _floats(fields[p])
+        if vals is None:
+            return None
+        rows[:, j] = vals
+    if label_pos is None:
+        return rows, None
+    labels = _lookup(caches[-1], fields[label_pos],
+                     lambda raw: _decode_label(schema, raw, 0), int)
+    return None if labels is None else (rows, labels)
+
+
+def _chunks(reader):
+    """Lists of up to CHUNK_ROWS records. An error from the reader itself
+    (bad CSV or bad UTF-8) is raised only after the records read before it
+    are handed out, so a bad cell earlier in the file is still reported
+    first."""
+    chunk = []
+    try:
+        for rec in reader:
+            chunk.append(rec)
+            if len(chunk) == CHUNK_ROWS:
+                yield chunk
+                chunk = []
+    except (csv.Error, UnicodeDecodeError):
+        yield chunk
+        raise
+    yield chunk
+
+
 def load_dataset(path, schema: FeatureSchema) -> TabularDataset:
-    """Read a CSV against ``schema``; the label column may be absent."""
+    """Read a CSV against ``schema``; the label column may be absent.
+
+    Records are decoded column by column in chunks of CHUNK_ROWS, each
+    distinct category string once. A chunk that fails any check is decoded
+    again row by row, so the error names the first bad line.
+    """
     with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -413,52 +511,56 @@ def load_dataset(path, schema: FeatureSchema) -> TabularDataset:
         for i, name in enumerate(header):
             if name in header[:i]:
                 raise SchemaMismatch(f"{path}: column {name!r} appears twice in the header")
-        positions = {}
+        positions = []
         for c in schema.columns:
             if c.name not in header:
                 raise SchemaMismatch(f"{path}: missing column {c.name!r}")
-            positions[c.name] = header.index(c.name)
+            positions.append(header.index(c.name))
         label_pos = header.index(schema.label_name) if schema.label_name in header else None
-        rows, labels = [], []
-        for line_no, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != len(header):
-                raise MalformedRow(line_no, f"expected {len(header)} fields, got {len(rec)}")
-            rows.append(
-                [_decode_cell(c, rec[positions[c.name]], line_no) for c in schema.columns]
-            )
-            if label_pos is not None:
-                labels.append(_decode_label(schema, rec[label_pos], line_no))
+        layout = (len(header), positions, label_pos)
+        caches = [{} for _ in range(schema.d + 1)]
+        blocks, start = [], 2
+        for chunk in _chunks(reader):
+            blocks.append(_decode_columns(schema, chunk, *layout, caches)
+                          or _decode_records(schema, chunk, start, *layout))
+            start += len(chunk)
     return TabularDataset(
         schema=schema,
-        rows=np.array(rows, dtype=float).reshape(len(rows), schema.d),
-        labels=np.array(labels, dtype=int) if label_pos is not None else None,
+        rows=np.concatenate([rows for rows, _ in blocks]),
+        labels=None if label_pos is None else np.concatenate([lab for _, lab in blocks]),
     )
-
-
-def _encode_cell(col: Column, value: float) -> str:
-    if col.kind == DISCRETE:
-        return encode_code(int(round(value)), col.categories)
-    return repr(float(value))
 
 
 def save_dataset(ds: TabularDataset, path, include_labels: bool = True) -> None:
     """Write a CSV that round-trips through load_dataset.
 
     Continuous values are written with ``repr`` so reloads are bit-exact;
-    discrete codes are written through the category dictionary.
+    discrete codes are written through the category dictionary. A code
+    outside its column's range raises ValidationError before anything is
+    written. Rows go out column by column in chunks of CHUNK_ROWS.
     """
     schema = ds.schema
-    labeled = include_labels and ds.labels is not None
+    labels = ds.labels if include_labels else None
+    findings = validate_dataset(TabularDataset(schema=schema, rows=ds.rows, labels=labels))
+    if findings:
+        raise ValidationError(f"cannot write {path}: {findings[0]}")
+    names = [None if c.kind != DISCRETE else
+             [encode_code(k, c.categories) for k in range(1, c.cardinality + 1)]
+             for c in schema.columns]
+    if labels is not None:
+        names.append([encode_code(k, schema.label_categories)
+                      for k in range(1, schema.label_cardinality + 1)])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         header = [c.name for c in schema.columns]
-        if labeled:
+        if labels is not None:
             header.append(schema.label_name)
         writer.writerow(header)
-        for i in range(ds.n):
-            rec = [_encode_cell(c, ds.rows[i, j]) for j, c in enumerate(schema.columns)]
-            if labeled:
-                rec.append(encode_code(int(ds.labels[i]), schema.label_categories))
-            writer.writerow(rec)
+        for lo in range(0, ds.n, CHUNK_ROWS):
+            block = ds.rows[lo:lo + CHUNK_ROWS]
+            if labels is not None:
+                block = np.column_stack([block, labels[lo:lo + CHUNK_ROWS]])
+            cols = [map(repr, col.tolist()) if cats is None else
+                    map(cats.__getitem__, (col.astype(int) - 1).tolist())
+                    for col, cats in zip(block.T, names)]
+            writer.writerows(zip(*cols))

@@ -210,18 +210,28 @@ def test_run_method_evaluates_each_weight_once_on_its_source(method, expected, m
 
 @pytest.mark.parametrize("seed,method", [(26, "dlu"), (28, "sees-d"), (32, "dlu"),
                                          (34, "dlu")])
-def test_one_class_source_keeps_target_accuracy_within_unit_interval(seed, method):
+def test_one_class_source_keeps_target_accuracy_within_unit_interval(seed, method,
+                                                                     monkeypatch):
     """A source of one class, predicted right on every row, gives weights whose
-    source mean is 1 only up to rounding; the estimate must not pass 1."""
+    source mean is 1 only up to rounding; the estimate must not pass 1, and
+    delta_hat, accuracy_drop and the target accuracy must agree."""
+    import shiftscope.estimator as estimator
     from shiftscope.predictor import predict, train_logistic
     from shiftscope.synth import binary_base
 
+    raw = []
+    real_gap = estimator.estimate_gap
+    monkeypatch.setattr(estimator, "estimate_gap",
+                        lambda ds, w: raw.append(real_gap(ds, w)) or raw[-1])
     base = binary_base(4, 3000, seed)
     source = base.take(np.flatnonzero(base.labels == 2))
     model = train_logistic(source)
     source = predict(model, source)
     target = predict(model, binary_base(4, 2000, seed + 100)).without_labels()
     report = run_method(method, (source, target), (source, target), None, 1)
-    assert report.source_accuracy + report.delta_hat > 1.0
-    assert 0.0 <= report.estimated_target_accuracy <= 1.0
-    assert report.to_dict()["estimated_target_accuracy"] == 1.0
+    assert report.source_accuracy + raw[0] > 1.0  # the unclipped gap overshoots
+    out = report.to_dict()
+    assert out["estimated_target_accuracy"] == 1.0
+    assert out["delta_hat"] == 1.0 - out["source_accuracy"]
+    assert out["estimated_target_accuracy"] == out["source_accuracy"] + out["delta_hat"]
+    assert out["accuracy_drop"] == -out["delta_hat"]
