@@ -8,7 +8,7 @@ import numpy as np
 from .data import FeatureSchema, TabularDataset
 from .errors import DegenerateKernel, SingularConfusion, ValidationError
 from .predictor import one_hot, train_logistic
-from .sees_c import project_feasible, projected_ascent
+from .sees_c import kkt_residual, project_feasible, projected_ascent
 from .tabulate import LABEL, PREDICTION, EmpiricalPmf, distinct_first, estimate_pmf
 from .weights import KernelWeight, ModelRatioWeight, TableWeight, gaussian_kernel, sq_distances
 
@@ -68,7 +68,8 @@ def run_kliep(source: TabularDataset, target: TabularDataset, centers: int = 100
     pairwise distance over a bounded subsample of the pooled data. The
     log-likelihood is fitted by sees-c's ``projected_ascent``, whose accepted
     objectives never decrease; ``non_convergence`` is 1 when ``max_iters``,
-    not ``KLIEP_TOL``, ended it.
+    not ``KLIEP_TOL``, ended it. ``stationarity`` is the final
+    ``kkt_residual``, the measure sees-c stops on; the ascent does not read it.
     """
     if max_iters <= 0:
         raise ValidationError("max_iters must be positive")
@@ -99,7 +100,8 @@ def run_kliep(source: TabularDataset, target: TabularDataset, centers: int = 100
     # the constraint b . alpha = 1 is the unit source mean of the weight
     weight = KernelWeight(centers=ctr, alphas=alpha, gamma=gamma, schema=schema)
     diag = {"objective": value, "iterations": float(iterations), "bandwidth": sigma,
-            "centers": float(ctr.shape[0]), "non_convergence": 0.0 if converged else 1.0}
+            "centers": float(ctr.shape[0]), "non_convergence": 0.0 if converged else 1.0,
+            "stationarity": kkt_residual(alpha, value_grad(alpha)[1], b)[0]}
     return weight, diag
 
 

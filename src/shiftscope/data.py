@@ -212,18 +212,17 @@ def validate_dataset(ds: TabularDataset) -> list[str]:
     """
     findings: list[str] = []
     L = ds.schema.n_labels
-    for j, col in enumerate(ds.schema.columns, start=1):
-        if col.kind != DISCRETE:
-            continue
-        vals = ds.rows[:, j - 1]
-        bad = np.flatnonzero(
-            (vals != np.round(vals)) | (vals < 1) | (vals > col.cardinality)
-        )
-        for i in bad[:20]:
-            findings.append(
-                f"row {i}: column {col.name!r} value {float(vals[i])!r} "
-                f"outside 1..{col.cardinality}"
+    for col, vals in zip(ds.schema.columns, ds.rows.T):
+        if col.kind == DISCRETE:
+            bad = np.flatnonzero(
+                (vals != np.round(vals)) | (vals < 1) | (vals > col.cardinality)
             )
+            reason = f"outside 1..{col.cardinality}"
+        else:
+            bad = np.flatnonzero(~np.isfinite(vals))
+            reason = "is not finite"
+        for i in bad[:20]:
+            findings.append(f"row {i}: column {col.name!r} value {float(vals[i])!r} {reason}")
     for name in ("labels", "predictions"):
         vec = getattr(ds, name)
         if vec is None:
@@ -536,7 +535,8 @@ def save_dataset(ds: TabularDataset, path, include_labels: bool = True) -> None:
 
     Continuous values are written with ``repr`` so reloads are bit-exact;
     discrete codes are written through the category dictionary. A code
-    outside its column's range raises ValidationError before anything is
+    outside its column's range, or a continuous value that is not finite
+    (``load_dataset`` refuses one), raises ValidationError before anything is
     written. Rows go out column by column in chunks of CHUNK_ROWS.
     """
     schema = ds.schema

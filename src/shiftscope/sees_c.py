@@ -76,8 +76,7 @@ def default_basis(schema: FeatureSchema, reference: TabularDataset | None = None
     return BasisSet(schema=schema, shifts=tuple(shifts))
 
 
-STEP_SIZE = 0.1  # first step tried by each backtracking search
-TOL = 1e-9  # one step's objective gain below this ends the ascent
+KKT_TOL = 1e-9  # the Newton loop stops once the KKT residual is at most this
 PROB_FLOOR = 1e-8  # floor on the target likelihood surrogate inside the log
 
 
@@ -133,10 +132,14 @@ class _Problem:
                 c[:, y - 1] = basis.design(source.rows[mask]).sum(axis=0)
         self.constraint = c / source.n
 
-    def value_grad(self, a: np.ndarray, cfg: SeesCConfig):
+    def _inner(self, a: np.ndarray) -> np.ndarray:
         inner = np.zeros(self.counts.size)
         for y in range(self.L):
             inner += self.pt[:, y] * (self.phi_t @ a[:, y])
+        return inner
+
+    def value_grad(self, a: np.ndarray, cfg: SeesCConfig):
+        inner = self._inner(a)
         floored = inner < PROB_FLOOR
         safe = np.maximum(inner, PROB_FLOOR)
         value = float((self.counts * np.log(safe)).sum()) / self.n_t
@@ -151,6 +154,49 @@ class _Problem:
                 if norms[i] > 0:
                     grad[g] -= cfg.eta * a[g] / norms[i]
         return value, grad
+
+    def gain(self, a: np.ndarray, b: np.ndarray, cfg: SeesCConfig) -> float:
+        """value(b) - value(a) of ``value_grad``'s objective, from the log1p of
+        each row's relative change and the change of each group norm, so a
+        gain far below the objective's rounding keeps its sign."""
+        before = np.maximum(self._inner(a), PROB_FLOOR)
+        after = np.maximum(self._inner(b), PROB_FLOOR)
+        exact = (before > PROB_FLOOR) & (after > PROB_FLOOR)
+        change = np.where(exact, self._inner(b - a), after - before)
+        gain = float((self.counts * np.log1p(change / before)).sum()) / self.n_t
+        if cfg.eta > 0:
+            norms = _group_norms(a, self.groups) + _group_norms(b, self.groups)
+            for g, norm in zip(self.groups, norms):
+                if norm > 0:
+                    gain -= cfg.eta * float(((b[g] - a[g]) * (b[g] + a[g])).sum()) / norm
+        return gain
+
+    def hessian(self, a: np.ndarray, cfg: SeesCConfig) -> np.ndarray:
+        """Hessian of ``value_grad``'s objective over ``a.ravel()``: L^2
+        blocks phi_t' diag(w pt_y pt_z) phi_t of the likelihood, minus the
+        group-norm curvature eta (I / |a_g| - a_g a_g' / |a_g|^3) on every
+        group that is not all zero."""
+        K, L = a.shape
+        inner = self._inner(a)
+        w = np.where(inner < PROB_FLOOR, 0.0,
+                     self.counts / np.maximum(inner, PROB_FLOOR) ** 2) / self.n_t
+        hess = np.empty((K, L, K, L))
+        for y in range(L):
+            for z in range(y, L):
+                block = -(self.phi_t.T @ ((w * self.pt[:, y] * self.pt[:, z])[:, None]
+                                          * self.phi_t))
+                hess[:, y, :, z] = block
+                hess[:, z, :, y] = block.T
+        hess = hess.reshape(K * L, K * L)
+        if cfg.eta > 0:
+            for g in self.groups:
+                v = a[g].ravel()
+                norm = float(np.sqrt(v @ v))
+                if norm > 0:
+                    idx = (g[:, None] * L + np.arange(L)).ravel()
+                    hess[np.ix_(idx, idx)] -= cfg.eta * (np.eye(v.size) / norm
+                                                         - np.outer(v, v) / norm ** 3)
+        return hess
 
 
 def project_feasible(v: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -171,7 +217,8 @@ def project_feasible(v: np.ndarray, c: np.ndarray) -> np.ndarray:
 def projected_ascent(value_grad, c: np.ndarray, a0: np.ndarray, step0: float, tol: float,
                      max_iters: int):
     """Projected gradient ascent with halving backtracking over
-    {a >= 0, sum(c * a) = 1}, from the feasible ``a0``.
+    {a >= 0, sum(c * a) = 1}, from the feasible ``a0``; kliep's solver, and
+    its only caller.
 
     ``value_grad(a)`` returns the objective and its gradient. Each iteration
     tries ``step0`` and up to 39 halvings of it and accepts the first
@@ -211,14 +258,150 @@ def sees_c_objective(a: np.ndarray, source: TabularDataset, target: TabularDatas
     return _Problem(source, target, basis).value_grad(a, cfg)
 
 
+def kkt_residual(a: np.ndarray, grad: np.ndarray, c: np.ndarray, groups=(),
+                 eta: float = 0.0) -> tuple[float, np.ndarray]:
+    """KKT residual of maximizing f over {a >= 0, sum(c * a) = 1} at the
+    feasible ``a``, where ``grad`` is f's gradient, taking 0 for the gradient
+    of eta * |a_g| at an all-zero group.
+
+    lam, the multiplier of the equality, is (a . grad) / (c . a), the value
+    that makes r = grad - lam * c orthogonal to ``a``; entries near zero,
+    whose r need not vanish yet, barely move it. The residual is the largest
+    of |r| on positive entries, max(r, 0) on zero entries, and, for each
+    group of ``groups`` (index arrays into the first axis of ``a``) that is
+    all zero, |max(r_g, 0)| - eta clipped at 0, since the group norm's
+    subgradient at 0 absorbs a pull of up to eta. Returns ``(residual, r)``.
+    """
+    pos = a > 0
+    r = grad - float((a * grad).sum()) / float((c * a).sum()) * c
+    res = np.where(pos, np.abs(r), np.maximum(r, 0.0))
+    kinks = [0.0]
+    for g in groups:
+        if not pos[g].any():
+            kinks.append(float(np.sqrt((res[g] ** 2).sum())) - eta)
+            res[g] = 0.0
+    return max(float(res.max()), *kinks), r
+
+
+def _newton_direction(hess: np.ndarray, grad: np.ndarray, c: np.ndarray, a: np.ndarray,
+                      free: np.ndarray) -> np.ndarray:
+    """Newton direction d of the model grad . d + d' hess d / 2 over the flat
+    ``free`` entries, with c . d = 0 and d = 0 elsewhere.
+
+    The KKT system is solved on the null space of c (an orthonormal basis Z
+    from a QR of c) by ``lstsq``, since the indicator design makes the
+    Hessian singular: d = Z u with (Z' (-hess) Z) u = Z' grad. A free entry
+    at zero that d would make negative is fixed at zero and the system
+    solved again.
+    """
+    while True:
+        f = np.flatnonzero(free)
+        basis = np.linalg.qr(c[f][:, None], mode="complete")[0][:, 1:]
+        u = np.linalg.lstsq(basis.T @ -hess[np.ix_(f, f)] @ basis, basis.T @ grad[f],
+                            rcond=None)[0]
+        d = np.zeros(a.size)
+        d[f] = basis @ u
+        blocked = (a == 0) & (d < 0)
+        if not blocked.any():
+            return d
+        free = free & ~blocked
+
+
+def _newton_ascent(problem: _Problem, cfg: SeesCConfig, a: np.ndarray):
+    """Active-set projected Newton ascent (Bertsekas 1982) over
+    {a >= 0, sum(c * a) = 1} from the feasible ``a``.
+
+    An iteration first tries to drop whole groups: every nonzero group whose
+    positive entries would pass the kink test at zero (|max(r_g, 0)| <= eta
+    with the group norm's own pull taken out of r, see ``kkt_residual``) is
+    set to zero and the rest rescaled to c . a = 1; the drop is kept if it
+    raises the objective. Otherwise ``_newton_step`` moves ``a``. Entries
+    below the rounding of the largest constrained entry are then set to
+    zero, since no representable step moves them. The loop stops once the
+    KKT residual is at most ``KKT_TOL``, when no step ascends, or after
+    ``cfg.max_iters`` iterations. Returns ``(a, value, residual,
+    iterations)``.
+    """
+    c = problem.constraint
+    value, grad = problem.value_grad(a, cfg)
+    residual, r = kkt_residual(a, grad, c, problem.groups, cfg.eta)
+    iterations = 0
+    while residual > KKT_TOL and iterations < cfg.max_iters:
+        iterations += 1
+        cand = a.copy()
+        for g, norm in zip(problem.groups, _group_norms(a, problem.groups)):
+            if norm > 0:
+                pull = np.where(a[g] > 0, r[g] + cfg.eta * a[g] / norm, 0.0)
+                if np.sqrt((np.maximum(pull, 0.0) ** 2).sum()) <= cfg.eta:
+                    cand[g] = 0.0
+        total = float((c * cand).sum())
+        if total > 0 and (cand != a).any() and problem.gain(a, cand / total, cfg) > 0:
+            cand /= total
+        else:
+            cand = _newton_step(problem, cfg, a, grad, r)
+            if cand is None:
+                break
+        a = np.where(cand > np.finfo(float).eps * cand[c > 0].max(), cand, 0.0)
+        value, grad = problem.value_grad(a, cfg)
+        residual, r = kkt_residual(a, grad, c, problem.groups, cfg.eta)
+    return a, value, residual, iterations
+
+
+def _newton_step(problem: _Problem, cfg: SeesCConfig, a: np.ndarray, grad: np.ndarray,
+                 r: np.ndarray):
+    """One step of ``_newton_ascent`` from ``a``, or None if none ascends.
+
+    The free set holds the positive entries and the zero entries whose
+    multiplier r is positive, but an all-zero group stays at zero while
+    |max(r_g, 0)| <= eta, the kink test. The step takes the Newton direction
+    on the free set, or, if that does not ascend, the fallback that moves
+    each free entry by its r, less (c . that) * a to keep c . d = 0, which
+    leaves the slope unchanged since r . a = 0. It cuts the direction at the first bound (ratio test) and
+    halves the step until the Armijo test holds on the exact ``gain``, so
+    accepted objectives never decrease.
+    """
+    c = problem.constraint
+    free = (a > 0) | (r > 0)
+    kinks = []
+    for g in problem.groups:
+        if not (a[g] > 0).any():
+            if np.sqrt((np.maximum(r[g], 0.0) ** 2).sum()) <= cfg.eta:
+                free[g] = False
+            else:
+                kinks.append(g)
+    newton = _newton_direction(problem.hessian(a, cfg), grad.ravel(), c.ravel(), a.ravel(),
+                               free.ravel()).reshape(a.shape)
+    ascent = np.where(free, r, 0.0)
+    ascent -= float((c * ascent).sum()) * a
+    for d in (newton, ascent):
+        # along d, the norm of an all-zero group grows by |d_g| per unit step
+        slope = float((grad * d).sum()) - cfg.eta * sum(
+            float(np.sqrt((d[g] ** 2).sum())) for g in kinks)
+        if slope > 0:
+            break
+    else:
+        return None
+    neg = d < 0
+    bound_steps = np.full(a.shape, np.inf)
+    bound_steps[neg] = -a[neg] / d[neg]
+    step = min(1.0, float(bound_steps.min()))
+    for _ in range(40):
+        cand = np.where(bound_steps <= step, 0.0, np.maximum(a + step * d, 0.0))
+        if problem.gain(a, cand, cfg) >= 1e-4 * step * slope:
+            return cand
+        step *= 0.5
+    return None
+
+
 def run_sees_c(source: TabularDataset, target: TabularDataset, basis: BasisSet,
                cfg: SeesCConfig = SeesCConfig()) -> tuple[BasisWeight, dict]:
-    """Fit the coefficients with ``projected_ascent`` from the uniform start.
+    """Fit the coefficients with ``_newton_ascent`` from the uniform start.
 
-    Returns the fitted weight and diagnostics (final objective, constraint
-    residual, iterations, non_convergence flag). The flag is 1 when the
-    iteration cap, not the ``TOL`` test, ended the ascent, or when the final
-    constraint residual exceeds 1e-6.
+    Returns the fitted weight and diagnostics: final objective, constraint
+    residual, ``stationarity`` (the final ``kkt_residual``), iterations, and
+    the non_convergence flag. The flag is 1 when the stationarity is above
+    ``KKT_TOL`` (the loop hit its cap or no step could raise the objective)
+    or the constraint residual exceeds 1e-6.
     """
     problem = _Problem(source, target, basis)
     # start at the feasible uniform rescale of all-ones; for indicator bases
@@ -227,14 +410,13 @@ def run_sees_c(source: TabularDataset, target: TabularDataset, basis: BasisSet,
     total = float((problem.constraint * a).sum())
     if total <= 0:
         raise ValidationError("constraint vector is identically zero")
-    a, value, iterations, converged = projected_ascent(
-        lambda x: problem.value_grad(x, cfg), problem.constraint, a / total,
-        STEP_SIZE, TOL, cfg.max_iters)
+    a, value, stationarity, iterations = _newton_ascent(problem, cfg, a / total)
     residual = abs(float((problem.constraint * a).sum()) - 1.0)
     diagnostics = {
         "objective": value,
         "constraint_residual": residual,
+        "stationarity": stationarity,
         "iterations": float(iterations),
-        "non_convergence": 1.0 if (residual > 1e-6 or not converged) else 0.0,
+        "non_convergence": 1.0 if (residual > 1e-6 or stationarity > KKT_TOL) else 0.0,
     }
     return BasisWeight(coefficients=a, basis=basis), diagnostics

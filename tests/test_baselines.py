@@ -100,6 +100,7 @@ class TestKliep:
         _, full = run_kliep(small_scored, target)
         assert capped["iterations"] == 3.0 and capped["non_convergence"] == 1.0
         assert full["iterations"] < KLIEP_ITERS and full["non_convergence"] == 0.0
+        assert 0.0 < full["stationarity"] < capped["stationarity"]
 
     @pytest.mark.parametrize("max_iters", [0, -3])
     def test_nonpositive_iteration_cap_rejected(self, small_scored, max_iters):

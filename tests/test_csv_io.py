@@ -350,3 +350,15 @@ def test_writer_refuses_codes_outside_the_dictionary(tmp_path, rows, labels, fin
     if "label" in finding:  # labels that are not written are not checked
         save_dataset(ds, path, include_labels=False)
         assert path.read_text().splitlines() == ["x", "x", "y"]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_writer_refuses_non_finite_continuous_values(tmp_path, value):
+    schema = FeatureSchema(columns=(Column("v", "continuous"),), label_cardinality=2)
+    ds = TabularDataset(schema=schema, rows=[[1.0], [value]], labels=[1, 2])
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValidationError, match=re.escape(f"row 1: column 'v' value {value!r} "
+                                                        "is not finite")) as err:
+        save_dataset(ds, path)
+    assert (err.value.category, err.value.exit_code) == ("VALIDATION_ERROR", 2)
+    assert not path.exists()

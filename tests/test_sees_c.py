@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from shiftscope.baselines import run_bbse
 from shiftscope.data import Column, FeatureSchema, TabularDataset
@@ -9,10 +10,12 @@ from shiftscope.errors import ValidationError
 from shiftscope.estimator import score_weights
 from shiftscope.predictor import predict, train_logistic
 from shiftscope.sees_c import (
+    KKT_TOL,
     BasisSet,
     SeesCConfig,
     default_basis,
     feature_scores,
+    kkt_residual,
     project_feasible,
     run_sees_c,
     sees_c_objective,
@@ -246,6 +249,109 @@ class TestRunSeesC:
         assert mse_c < mse_b
 
 
+def small_pair(seed, n_labels):
+    """A 300-row source and a 200-row target drawn from 40 distinct rows, over
+    a binary, a ternary and a continuous feature, with random probabilities."""
+    rng = np.random.default_rng(seed)
+    schema = FeatureSchema(columns=(Column("a", "discrete", 2), Column("b", "discrete", 3),
+                                    Column("v", "continuous")), label_cardinality=n_labels)
+
+    def draw(n, shift):
+        y = rng.integers(1, n_labels + 1, n)
+        rows = np.column_stack([np.where(rng.uniform(size=n) < 0.3 + 0.4 * shift * (y == 2), 2, 1),
+                                rng.integers(1, 4, n), np.round(rng.normal(shift * y, 1.0, n), 2)])
+        probs = rng.dirichlet(np.ones(n_labels), n)
+        return TabularDataset(schema=schema, rows=rows.astype(float), labels=y,
+                              predictions=probs.argmax(axis=1) + 1, pred_probs=probs)
+
+    source, target = draw(300, 0.0), draw(40, 1.0)
+    return source, target.take(rng.integers(0, target.n, 200))
+
+
+def reference_optimum(source, target, basis, eta):
+    """sees-c's optimum by SLSQP on the smooth epigraph form: maximize the
+    plain likelihood minus eta * sum(t) subject to t_g^2 >= |a_g|^2, t >= 0,
+    a >= 0 and the unit source mean, built here from the source rows."""
+    L = source.schema.n_labels
+    design = basis.design(source.rows)
+    c = np.column_stack([design[source.labels == y].sum(axis=0)
+                         for y in range(1, L + 1)]) / source.n
+    groups = basis.groups()
+    n = c.size
+    plain = SeesCConfig(eta=0.0)
+
+    def objective(z):
+        value, grad = sees_c_objective(z[:n].reshape(c.shape), source, target, basis, plain)
+        return -value + eta * z[n:].sum(), np.concatenate([-grad.ravel(), np.full(len(groups), eta)])
+
+    def cone(z):
+        a = z[:n].reshape(c.shape)
+        return np.array([z[n + i] ** 2 - (a[g] ** 2).sum() for i, g in enumerate(groups)])
+
+    def cone_jac(z):
+        a = z[:n].reshape(c.shape)
+        jac = np.zeros((len(groups), z.size))
+        for i, g in enumerate(groups):
+            block = np.zeros(c.shape)
+            block[g] = -2 * a[g]
+            jac[i, :n] = block.ravel()
+            jac[i, n + i] = 2 * z[n + i]
+        return jac
+
+    a0 = np.full(c.shape, 1.0 / c.sum())
+    z0 = np.concatenate([a0.ravel(), [np.sqrt((a0[g] ** 2).sum()) for g in groups]])
+    mean = np.concatenate([c.ravel(), np.zeros(len(groups))])
+    res = minimize(objective, z0, jac=True, method="SLSQP", bounds=[(0, None)] * z0.size,
+                   constraints=[{"type": "eq", "fun": lambda z: [mean @ z - 1],
+                                 "jac": lambda z: mean[None]},
+                                {"type": "ineq", "fun": cone, "jac": cone_jac}],
+                   options={"ftol": 1e-15, "maxiter": 1000})
+    assert res.success, res.message
+    a = np.maximum(res.x[:n].reshape(c.shape), 0.0)
+    return sees_c_objective(a / float((c * a).sum()), source, target, basis,
+                            SeesCConfig(eta=eta))[0]
+
+
+class TestKktResidual:
+    def test_stationary_point_reads_zero_and_each_violation_counts(self):
+        c = np.array([1.0, 2.0, 1.0, 1.0])
+        a = np.array([0.5, 0.25, 0.0, 0.0])  # c . a = 1
+        grad = np.array([0.3, 0.6, 0.1, 0.3])  # 0.3 * c on the positive entries
+        assert kkt_residual(a, grad, c)[0] == pytest.approx(0.0, abs=1e-15)
+        # a zero entry that wants to grow (lam stays 0.3); positive entries
+        # off the line (lam = a . grad = 0.31, r = (0.01, -0.02, ...))
+        assert kkt_residual(a, grad + [0.0, 0.0, 0.25, 0.0], c)[0] == pytest.approx(0.05)
+        assert kkt_residual(a, grad + [0.02, 0.0, 0.0, 0.0], c)[0] == pytest.approx(0.02)
+
+    def test_all_zero_group_absorbs_a_pull_up_to_eta(self):
+        c = np.ones((3, 1))
+        a = np.array([[1.0], [0.0], [0.0]])
+        grad = np.array([[1.0], [1.3], [1.4]])  # pull (0.3, 0.4) on the zero group
+        groups = [np.array([0]), np.array([1, 2])]
+        assert kkt_residual(a, grad, c, groups, eta=0.5)[0] == pytest.approx(0.0, abs=1e-15)
+        assert kkt_residual(a, grad, c, groups, eta=0.4)[0] == pytest.approx(0.1)
+        assert kkt_residual(a, grad, c)[0] == pytest.approx(0.4)
+
+
+class TestNewtonOptimum:
+    @pytest.mark.parametrize("seed,n_labels,eta,zero_groups", [
+        (2, 2, 0.0, None),
+        (6, 3, 0.001, None),
+        (3, 2, 0.05, 1),  # feature b ends exactly at zero
+        (6, 3, 0.05, 1),
+    ])
+    def test_matches_reference_optimum(self, seed, n_labels, eta, zero_groups):
+        source, target = small_pair(seed, n_labels)
+        assert np.unique(target.rows, axis=0).shape[0] < target.n  # repeated rows
+        basis = default_basis(source.schema, reference=source)
+        weight, diag = run_sees_c(source, target, basis, SeesCConfig(eta=eta))
+        assert diag["stationarity"] <= KKT_TOL and diag["non_convergence"] == 0.0
+        assert diag["objective"] == pytest.approx(reference_optimum(source, target, basis, eta),
+                                                  abs=1e-8)
+        if zero_groups is not None:
+            assert (feature_scores(weight.coefficients, basis) == 0.0).sum() == zero_groups
+
+
 class TestFeatureScores:
     def test_zero_coefficients(self, small_scored):
         basis = default_basis(small_scored.schema)
@@ -270,7 +376,7 @@ class TestFeatureScores:
         base = binary_base(4, 8000, 314)
         model = train_logistic(base)
         cfg = SeesCConfig(max_iters=400)
-        hits = 0
+        hits = unconverged = 0
         trials = 100
         for seed in range(trials):
             shifted = (1 + seed % 4,)
@@ -280,8 +386,10 @@ class TestFeatureScores:
             source, target, truth = shifted_pair(base, model, shifted, marg,
                                                  2000, 2000, seed)
             basis = default_basis(source.schema)
-            w, _ = run_sees_c(source, target, basis, cfg)
+            w, diag = run_sees_c(source, target, basis, cfg)
             beta = feature_scores(w.coefficients, basis)
             if int(np.argmax(beta)) + 1 == shifted[0]:
                 hits += 1
+            unconverged += int(diag["non_convergence"])
         assert hits >= 80
+        assert unconverged == 0
