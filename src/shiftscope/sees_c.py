@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DISCRETE, FeatureSchema, TabularDataset
+from .data import DISCRETE, FeatureSchema, TabularDataset, encode_code
 from .errors import ValidationError
 from .predictor import one_hot
 from .tabulate import distinct_first
@@ -401,9 +401,22 @@ def run_sees_c(source: TabularDataset, target: TabularDataset, basis: BasisSet,
     residual, ``stationarity`` (the final ``kkt_residual``), iterations, and
     the non_convergence flag. The flag is 1 when the stationarity is above
     ``KKT_TOL`` (the loop hit its cap or no step could raise the objective)
-    or the constraint residual exceeds 1e-6.
+    or the constraint residual exceeds 1e-6. At eta 0, a basis cell that
+    target rows reach but no source row weights leaves the objective
+    unbounded, so it raises ValidationError naming the cell.
     """
     problem = _Problem(source, target, basis)
+    if cfg.eta == 0:
+        support = problem.phi_t.T @ (problem.counts[:, None] * problem.pt)
+        for k, y in np.argwhere((problem.constraint == 0) & (support > 0))[:1]:
+            j = next(j for j, g in enumerate(problem.groups) if k in g)
+            col, schema = basis.schema.columns[j], basis.schema
+            cell = (col.name if col.kind != DISCRETE else
+                    f"{col.name}={encode_code(k - problem.groups[j][0] + 1, col.categories)}")
+            raise ValidationError(
+                f"sees-c with eta 0 is unbounded: target rows reach basis cell ({cell}, "
+                f"{schema.label_name}={encode_code(y + 1, schema.label_categories)}), "
+                "which no source row weights")
     # start at the feasible uniform rescale of all-ones; for indicator bases
     # this is exactly w = 1
     a = np.ones((basis.size, problem.L))

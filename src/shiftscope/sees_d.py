@@ -5,7 +5,7 @@ For each candidate shifted set J of size s, the target marginal over every
 against the reweighted source marginal by box-constrained least squares;
 the candidate attaining the smallest residual wins. For a fixed value of
 x_J the unknowns are the L weights w(x_J, .), so the system decouples into
-tiny per-cell blocks.
+tiny per-cell blocks, which one stacked solver fits together.
 
 Both modes read the one table type, ``EmpiricalPmf``: sample mode is
 population mode on ``estimate_pmf`` joints, and only a marginal's ``.mass``
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -64,52 +64,76 @@ def enumerate_kappas(J, d: int, s: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _box_ls(A: np.ndarray, b: np.ndarray, hi: float) -> tuple[np.ndarray, float, int]:
-    """min ||A w - b||^2 over the box [0, hi]^k by bounded-variable least
-    squares (Stark & Parker 1995).
+def _bvls(A: np.ndarray, b: np.ndarray, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """min ||A[i] w - b[i]||^2 over the box [0, hi]^k for every block i of
+    the stacks A (n, m, k) and b (n, m), by bounded-variable least squares
+    (Stark & Parker 1995).
 
-    The free coordinates are solved by plain least squares while the others
-    are held at 0 or hi; the first solve frees every coordinate. A solve that
-    leaves the box steps to the first bound it meets and holds that
-    coordinate there. A held coordinate is freed when the gradient points
-    into the box. The search starts at w = 0 and ends when no held
-    coordinate qualifies, or when a pass fails to strictly lower the best
-    residual, which only rounding or an overflowing solve can cause.
-    Returns (w, residual, number of active-set changes).
+    The free coordinates are solved by minimum-norm least squares while the
+    others are held at 0 or hi; the first solve frees every coordinate whose
+    column is not all zero. A solve that leaves the box steps to the first
+    bound it meets and holds that coordinate there. A held coordinate is
+    freed when the gradient points into the box. A block starts at w = 0 and
+    ends when no held coordinate qualifies, or when a pass fails to strictly
+    lower its best residual, which only rounding or an overflowing solve can
+    cause. Each pass makes one stacked solve over the blocks still running,
+    so a block takes the same steps as it would alone, with no tolerance or
+    cap. Returns (w, residual, number of active-set changes) per block.
     """
-    w = np.zeros(A.shape[1])
-    free = np.ones(A.shape[1], dtype=bool)
-    changes = 0
-    best = (w, float(b @ b), changes)
-    while True:
-        while True:
-            z = w.copy()
-            z[free], *_ = np.linalg.lstsq(A[:, free], b - A[:, ~free] @ w[~free], rcond=None)
-            out = np.flatnonzero(free & ((z < 0.0) | (z > hi)))
-            if not out.size:
-                break
+    n, m, k = A.shape
+    w = np.zeros((n, k))
+    free = (A != 0.0).any(axis=1)
+    changes = np.zeros(n, dtype=int)
+    best_w, best_f, best_changes = w.copy(), (b * b).sum(axis=1), changes.copy()
+    rcond = max(m, k) * np.finfo(float).eps  # lstsq's default cutoff
+    run = np.arange(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing solve
+        while run.size:
+            Ar, fr, wr = A[run], free[run], w[run]
+            held = np.where(fr, 0.0, wr)
+            rhs = b[run] - (Ar @ held[..., None])[..., 0]
+            # as lstsq does: a QR of [A | rhs], then the minimum-norm solve on R
+            qr = np.linalg.qr(np.concatenate([Ar * fr[:, None, :], rhs[..., None]], axis=2), "r")
+            z = np.linalg.pinv(qr[:, :k, :k], rcond) @ qr[:, :k, k:]
+            z = np.where(fr, z[..., 0], held)
+            out = fr & ((z < 0.0) | (z > hi))
+            walk = out.any(axis=1)
             # walk from w toward z until the first coordinate meets its bound
-            edge = np.where(z[out] < 0.0, 0.0, hi)
-            step = (edge - w[out]) / (z[out] - w[out])
-            i = np.argmin(step)
-            if step[i] > 0.0:  # a solve that overflowed (z = +-inf) meets its bound at once
-                w = w + step[i] * (z - w)
-            w = np.clip(w, 0.0, hi)
-            w[out[i]] = edge[i]
-            free[out[i]] = False
-            changes += 1
-        r = A @ z - b
-        f = float(r @ r)
-        if not f < best[1]:  # also a NaN residual
-            return best
-        w, best = z, (z, f, changes)
-        g = A.T @ r
-        # positive where moving a held coordinate into the box lowers the residual
-        pull = np.where(free, 0.0, np.where(w == 0.0, -g, g))
-        if pull.max() <= 0.0:
-            return best
-        free[np.argmax(pull)] = True
-        changes += 1
+            edge = np.where(z < 0.0, 0.0, hi)
+            step = np.full(z.shape, np.inf)
+            step[out] = (edge[out] - wr[out]) / (z[out] - wr[out])
+            i, t = step.argmin(axis=1), step.min(axis=1)
+            moved = walk & (t > 0.0)  # a solve that overflowed (z = +-inf) meets its bound at once
+            wr[moved] += t[moved, None] * (z[moved] - wr[moved])
+            wr[walk] = np.clip(wr[walk], 0.0, hi)
+            wr[walk, i[walk]] = edge[walk, i[walk]]
+            fr[walk, i[walk]] = False
+            changes[run[walk]] += 1
+            # a block whose solve stayed in the box is scored
+            r = (Ar @ z[..., None])[..., 0] - b[run]
+            f = (r * r).sum(axis=1)
+            lower = ~walk & (f < best_f[run])  # also false on a NaN residual
+            wr[lower] = z[lower]
+            best_w[run[lower]], best_f[run[lower]] = z[lower], f[lower]
+            best_changes[run[lower]] = changes[run[lower]]
+            g = (r[:, None, :] @ Ar)[:, 0]
+            # positive where moving a held coordinate into the box lowers the residual
+            pull = np.where(fr, 0.0, np.where(wr == 0.0, -g, g))
+            j = pull.argmax(axis=1)
+            grow = lower & (pull.max(axis=1) > 0.0)
+            fr[grow, j[grow]] = True
+            changes[run[grow]] += 1
+            w[run], free[run] = wr, fr
+            run = run[walk | grow]
+    return best_w, best_f, best_changes
+
+
+def _box_ls(A: np.ndarray, b: np.ndarray, hi: float) -> tuple[np.ndarray, float, int]:
+    """``_bvls`` on the one block (A, b); the residual is ||A w - b||^2 of
+    the returned w. Returns (w, residual, number of active-set changes)."""
+    w, _, changes = _bvls(A[None], b[None], hi)
+    r = A @ w[0] - b
+    return w[0], float(r @ r), int(changes[0])
 
 
 def _sample_joints(source: TabularDataset, target: TabularDataset):
@@ -131,50 +155,33 @@ def _check_joints(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf):
     return source_joint, target_joint
 
 
-def _blocks_for(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf, J, s: int):
-    """Per-x_J stacked (A, b) systems across every matching kappa."""
+def _fit_blocks(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf, J,
+                cfg: SeesDConfig) -> CandidateFit:
+    """Fit every x_J block of candidate J in one ``_bvls`` call. Block i
+    stacks the rows of its x_J value from each kappa's marginal, kappa by
+    kappa; a label with no source mass in the block keeps weight 1 and
+    counts as unconstrained."""
     L = source_joint.cardinalities[-1]
     cards_j = [source_joint.cardinalities[j - 1] for j in J]
     n_blocks = math.prod(cards_j)
     p, q = [], []
-    for kappa in enumerate_kappas(J, len(source_joint.axes) - 2, s):
+    for kappa in enumerate_kappas(J, len(source_joint.axes) - 2, cfg.sparsity):
         # x_J leads, so each block is one leading index
         feats = (*J, *(k for k in kappa if k not in J))
         p.append(source_joint.marginal((*feats, PREDICTION, LABEL)).mass.reshape(n_blocks, -1, L))
         q.append(target_joint.marginal((*feats, PREDICTION)).mass.reshape(n_blocks, -1))
-    return [(tuple(int(v) + 1 for v in np.unravel_index(blk, cards_j)),
-             np.vstack([m[blk] for m in p]), np.concatenate([m[blk] for m in q]))
-            for blk in range(n_blocks)]
-
-
-def _fit_blocks(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf, J,
-                cfg: SeesDConfig) -> CandidateFit:
-    L = source_joint.cardinalities[-1]
-    table = {}
-    distance = 0.0
-    unconstrained = 0
-    iterations = 0
-    for xj, A, b in _blocks_for(source_joint, target_joint, J, cfg.sparsity):
-        keep = (A.max(axis=1) > 0) | (b > 0)
-        A_k, b_k = A[keep], b[keep]
-        w = np.ones(L)
-        live = A_k.sum(axis=0) > 0 if A_k.size else np.zeros(L, dtype=bool)
-        unconstrained += int(L - live.sum())
-        if live.any():
-            sol, resid, iters = _box_ls(A_k[:, live], b_k, cfg.weight_bound)
-            w[live] = sol
-            distance += resid
-            iterations += iters
-        else:
-            distance += float(b_k @ b_k)
-        for y in range(1, L + 1):
-            table[(xj, y)] = float(w[y - 1])
+    A = np.concatenate(p, axis=1)
+    w, residual, changes = _bvls(A, np.concatenate(q, axis=1), cfg.weight_bound)
+    live = A.sum(axis=1) > 0
+    w[~live] = 1.0
+    cells = product(*(range(1, c + 1) for c in cards_j))
+    table = {(xj, y): v for xj, row in zip(cells, w.tolist()) for y, v in enumerate(row, 1)}
     return CandidateFit(
         index_set=tuple(J),
         weights=TableWeight(index_set=tuple(J), table=table),
-        distance=distance,
-        unconstrained_cells=unconstrained,
-        solver_iterations=iterations,
+        distance=sum(residual.tolist()),
+        unconstrained_cells=int((~live).sum()),
+        solver_iterations=int(changes.sum()),
     )
 
 

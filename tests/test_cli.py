@@ -287,6 +287,36 @@ class TestEstimate:
         assert err.startswith("ERROR FILE_NOT_FOUND")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("method", ["sees-c", "all"])
+    def test_eta_zero_with_an_unbounded_sees_c_fit(self, workspace, tmp_path, capsys, method):
+        # drop every source row with x1 = 2 and y = 2; target rows still have x1 = 2
+        run_simulate(workspace)
+        lines = (workspace / "sim.source.csv").read_text().splitlines(keepends=True)
+        header = lines[0].strip().split(",")
+        x1, y = header.index("x1"), header.index("y")
+        kept = [ln for ln in lines[1:]
+                if [ln.strip().split(",")[i] for i in (x1, y)] != ["2", "2"]]
+        assert len(kept) < len(lines) - 1
+        (tmp_path / "sim.source.csv").write_text("".join(lines[:1] + kept))
+        for name in ("sim.target.csv", "schema.json"):
+            (tmp_path / name).write_bytes((workspace / name).read_bytes())
+        out = tmp_path / "report.json"
+        code = self.estimate(tmp_path, out, method=method, extra=("--eta", "0"))
+        err = capsys.readouterr().err
+        message = ("sees-c with eta 0 is unbounded: target rows reach basis cell (x1=2, y=2), "
+                   "which no source row weights")
+        if method == "sees-c":
+            assert code == 2
+            assert err == f"ERROR VALIDATION_ERROR: {message}\n"
+            assert not out.exists()
+        else:
+            assert code == 0
+            entries = json.loads(out.read_text())
+            assert entries.pop(1) == {"method": "sees-c", "error": {
+                "category": "VALIDATION_ERROR", "message": message}}
+            assert [e["method"] for e in entries] == ["sees-d", "bbse", "kliep", "dlu"]
+            assert all(isinstance(e["delta_hat"], float) for e in entries)
+
     def test_estimate_is_deterministic(self, workspace, tmp_path, monkeypatch):
         monkeypatch.setenv("SHIFTSCOPE_THREADS", "1")
         run_simulate(workspace)

@@ -215,6 +215,19 @@ class TestRunSeesC:
         vals = w.weights_for(small_scored)
         assert float(np.sqrt(np.mean((vals - 1.0) ** 2))) < 0.05
 
+    def test_eta_zero_refuses_a_basis_cell_no_source_row_weights(self, small_scored):
+        # no source row has x2 = 2 with label 2, but target rows do: at eta 0
+        # that coefficient raises the objective without bound
+        keep = ~((small_scored.rows[:, 1] == 2) & (small_scored.labels == 2))
+        source = small_scored.take(np.flatnonzero(keep))
+        target = small_scored.without_labels()
+        basis = default_basis(source.schema)
+        with pytest.raises(ValidationError, match=r"unbounded: .* basis cell \(x2=2, y=2\)"):
+            run_sees_c(source, target, basis, SeesCConfig(eta=0.0))
+        # the group penalty bounds the same problem
+        _, diag = run_sees_c(source, target, basis, SeesCConfig(eta=0.001))
+        assert diag["non_convergence"] == 0.0
+
     def test_projection_contract(self, sjs_pair):
         source, target, _ = sjs_pair
         basis = default_basis(source.schema)

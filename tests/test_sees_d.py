@@ -1,16 +1,22 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import lsq_linear
 
 from shiftscope.errors import TooManyCandidates, ValidationError
 from shiftscope.data import Column, FeatureSchema, TabularDataset
+from shiftscope.bench import run_suite
 from shiftscope.sees_d import (
+    CandidateFit,
     SeesDConfig,
     _box_ls,
+    _bvls,
+    _fit_blocks,
     enumerate_kappas,
     fit_candidate,
     fit_candidate_population,
@@ -25,6 +31,7 @@ from shiftscope.synth import (
     counterexample_fixture,
 )
 from shiftscope.tabulate import LABEL, PREDICTION, estimate_pmf
+from shiftscope.weights import TableWeight
 from fractions import Fraction
 
 
@@ -290,6 +297,179 @@ class TestBoxLeastSquares:
         assert w == pytest.approx([2.0, 3.0])
         assert residual < 1e-24
         assert changes == 0
+
+
+@st.composite
+def box_stacks(draw):
+    """(A, b, hi) for a stack of 1 to 20 blocks sharing (m, k), k from 1 to
+    4: in each block a column may be zero or a copy of the one before, a
+    dead column is zero in every block, a row may be zero in A and b, and
+    each right side is drawn around a point that may lie below 0 or above hi."""
+    n, m, k = draw(st.integers(1, 20)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    A = draw(arrays(float, (n, m, k), elements=entry))
+    kinds = draw(arrays("U4", (n, k), elements=st.sampled_from(["own", "zero", "copy"])))
+    for i, j in zip(*np.nonzero(kinds == "zero")):
+        A[i, :, j] = 0.0
+    for i, j in zip(*np.nonzero(kinds == "copy")):
+        if j:
+            A[i, :, j] = A[i, :, j - 1]
+    A[:, :, draw(arrays(bool, k))] = 0.0
+    hi = draw(st.sampled_from([1.0, 2.5, 20.0]))
+    center = draw(arrays(float, (n, k), elements=st.floats(-hi, 2 * hi)))
+    noise = draw(arrays(float, (n, m), elements=st.floats(-1.0, 1.0)))
+    b = (A @ center[..., None])[..., 0] + draw(st.sampled_from([0.0, 0.01, 1.0])) * noise
+    zero_rows = draw(arrays(bool, (n, m)))
+    A[zero_rows], b[zero_rows] = 0.0, 0.0
+    return A, b, hi
+
+
+class TestBatchedBoxLeastSquares:
+    @settings(max_examples=200, deadline=None)
+    @given(box_stacks())
+    # the two subnormal blocks whose solve overflows, stacked with an ordinary one
+    @example((np.array([[[0.0, 5e-324, 5e-324]], [[5e-324, 5e-324, 0.0]], [[0.5, 0.25, 1.0]]]),
+              np.array([[0.01], [0.01], [0.3]]), 1.0))
+    def test_each_block_matches_its_solve_alone(self, problem):
+        A, b, hi = problem
+        w, residual, changes = _bvls(A, b, hi)
+        assert w.shape == A.shape[::2] and residual.shape == changes.shape == (len(A),)
+        for i in range(len(A)):
+            w_i, residual_i, changes_i = _box_ls(A[i], b[i], hi)
+            assert changes[i] == changes_i
+            tol = 1e-12 * (1.0 + residual_i)
+            assert np.abs(w[i] - w_i).max() <= tol
+            assert abs(residual[i] - residual_i) <= tol
+
+
+def reference_box_ls(A, b, hi):
+    """The per-block solver that ``_bvls`` replaced, one ``lstsq`` call per solve."""
+    w = np.zeros(A.shape[1])
+    free = np.ones(A.shape[1], dtype=bool)
+    changes = 0
+    best = (w, float(b @ b), changes)
+    while True:
+        while True:
+            z = w.copy()
+            z[free], *_ = np.linalg.lstsq(A[:, free], b - A[:, ~free] @ w[~free], rcond=None)
+            out = np.flatnonzero(free & ((z < 0.0) | (z > hi)))
+            if not out.size:
+                break
+            edge = np.where(z[out] < 0.0, 0.0, hi)
+            step = (edge - w[out]) / (z[out] - w[out])
+            i = np.argmin(step)
+            if step[i] > 0.0:
+                w = w + step[i] * (z - w)
+            w = np.clip(w, 0.0, hi)
+            w[out[i]] = edge[i]
+            free[out[i]] = False
+            changes += 1
+        r = A @ z - b
+        f = float(r @ r)
+        if not f < best[1]:
+            return best
+        w, best = z, (z, f, changes)
+        g = A.T @ r
+        pull = np.where(free, 0.0, np.where(w == 0.0, -g, g))
+        if pull.max() <= 0.0:
+            return best
+        free[np.argmax(pull)] = True
+        changes += 1
+
+
+def reference_fit(source_joint, target_joint, J, cfg):
+    """The per-block fit that ``_fit_blocks`` replaced: one (A, b) system per
+    x_J cell, its all-zero rows and dead columns dropped, solved alone."""
+    L = source_joint.cardinalities[-1]
+    cards_j = [source_joint.cardinalities[j - 1] for j in J]
+    n_blocks = math.prod(cards_j)
+    p, q = [], []
+    for kappa in enumerate_kappas(J, len(source_joint.axes) - 2, cfg.sparsity):
+        feats = (*J, *(k for k in kappa if k not in J))
+        p.append(source_joint.marginal((*feats, PREDICTION, LABEL)).mass.reshape(n_blocks, -1, L))
+        q.append(target_joint.marginal((*feats, PREDICTION)).mass.reshape(n_blocks, -1))
+    table, distance, unconstrained, iterations = {}, 0.0, 0, 0
+    for blk in range(n_blocks):
+        xj = tuple(int(v) + 1 for v in np.unravel_index(blk, cards_j))
+        A, b = np.vstack([m[blk] for m in p]), np.concatenate([m[blk] for m in q])
+        keep = (A.max(axis=1) > 0) | (b > 0)
+        A_k, b_k = A[keep], b[keep]
+        w = np.ones(L)
+        live = A_k.sum(axis=0) > 0 if A_k.size else np.zeros(L, dtype=bool)
+        unconstrained += int(L - live.sum())
+        if live.any():
+            sol, resid, iters = reference_box_ls(A_k[:, live], b_k, cfg.weight_bound)
+            w[live] = sol
+            distance += resid
+            iterations += iters
+        else:
+            distance += float(b_k @ b_k)
+        for y in range(1, L + 1):
+            table[(xj, y)] = float(w[y - 1])
+    return CandidateFit(index_set=tuple(J), weights=TableWeight(index_set=tuple(J), table=table),
+                        distance=distance, unconstrained_cells=unconstrained,
+                        solver_iterations=iterations)
+
+
+def assert_fits_match_reference(source_joint, target_joint, sparsities):
+    d = len(source_joint.axes) - 2
+    for s in sparsities:
+        cfg = SeesDConfig(sparsity=s)
+        for J in itertools.combinations(range(1, d + 1), s):
+            fit = _fit_blocks(source_joint, target_joint, J, cfg)
+            ref = reference_fit(source_joint, target_joint, J, cfg)
+            assert fit.index_set == ref.index_set
+            assert list(fit.weights.table) == list(ref.weights.table)
+            assert fit.unconstrained_cells == ref.unconstrained_cells
+            assert fit.solver_iterations == ref.solver_iterations
+            for cell, w in ref.weights.table.items():
+                assert abs(fit.weights.table[cell] - w) <= 1e-12
+            assert abs(fit.distance - ref.distance) <= 1e-15
+
+
+class TestBatchedFitMatchesPerBlockFit:
+    def test_sample_joints(self, small_scored):
+        rng = np.random.default_rng(5)
+        target = small_scored.take(rng.integers(0, small_scored.n, size=1500))
+        d = small_scored.schema.d
+        assert_fits_match_reference(estimate_pmf(small_scored, (*range(1, d + 1), PREDICTION, LABEL)),
+                                    estimate_pmf(target, (*range(1, d + 1), PREDICTION)),
+                                    range(d + 1))
+
+    def test_three_labels(self):
+        source, target, _ = three_label_pair()
+        axes = (1, 2, 3, PREDICTION)
+        assert_fits_match_reference(estimate_pmf(source, (*axes, LABEL)),
+                                    estimate_pmf(target, axes), range(4))
+
+    def test_identifiable_fixture(self):
+        source, target, _ = identifiable_fixture()
+        assert_fits_match_reference(population_joint(source, stump(2)),
+                                    population_joint(target, stump(2), include_label=False),
+                                    range(4))
+
+
+def test_sensitivity_suite_solves_blocks_in_batches(tmp_path, monkeypatch):
+    """One sensitivity-suite operation fits 2187 blocks; a per-block solve
+    loop would make at least one linear solve per block."""
+    import shiftscope.sees_d
+    monkeypatch.setenv("SHIFTSCOPE_THREADS", "1")
+    blocks, solves = [], []
+
+    def counted_bvls(A, b, hi, _real=_bvls):
+        blocks.append(len(A))
+        return _real(A, b, hi)
+
+    monkeypatch.setattr(shiftscope.sees_d, "_bvls", counted_bvls)
+    for name in ("lstsq", "pinv", "solve", "svd"):
+        def counted(*args, _real=getattr(np.linalg, name), **kwargs):
+            solves.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    run_suite("sensitivity", 1, tmp_path / "sensitivity.csv")
+    assert sum(blocks) == 2187
+    assert len(solves) < sum(blocks)
 
 
 def three_label_pair():
