@@ -15,7 +15,9 @@ from .data import (
 )
 from .estimator import (
     GroundTruth,
+    Pair,
     estimate_gap,
+    run_method,
     score_gap,
     score_weights,
     select_features,

@@ -18,13 +18,17 @@ KLIEP_ITERS = 2500
 KLIEP_TOL = 1e-7  # one step's objective gain below this ends the ascent
 
 
-def run_bbse(source: TabularDataset, target: TabularDataset) -> tuple[TableWeight, dict]:
+def run_bbse(source: TabularDataset, target: TabularDataset,
+             joints: tuple[EmpiricalPmf, EmpiricalPmf] | None = None) -> tuple[TableWeight, dict]:
     """BBSE label weights: ``run_bbse_population`` on the ``estimate_pmf``
-    joints of the two datasets."""
+    joints of the two datasets, or on ``joints``, sees-d's sample joints of
+    them, when given; joints of row counts give the same tables to the bit."""
     if source.labels is None or source.predictions is None:
         raise ValidationError("BBSE needs source labels and predictions")
     if target.predictions is None:
         raise ValidationError("BBSE needs target predictions")
+    if joints is not None:
+        return run_bbse_population(*joints)
     return run_bbse_population(estimate_pmf(source, (PREDICTION, LABEL)),
                                estimate_pmf(target, (PREDICTION,)))
 

@@ -12,7 +12,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
-from .estimator import run_method
+from .estimator import Pair, run_method
 from .predictor import train_logistic
 from .synth import (
     binary_base,
@@ -47,10 +47,12 @@ def thread_cap() -> int:
     return cap if cap > 0 else (os.cpu_count() or 1)
 
 
-def evaluate_method(method: str, source, target, truth, sparsity: int) -> dict:
-    """Run one method on a prepared pair; its report as a suite CSV row.
-    An unknown method raises ValueError."""
-    report = run_method(method, (source, target), (source, target), truth, sparsity)
+def evaluate_method(method: str, pair: Pair, sparsity: int) -> dict:
+    """Run one method on a ``Pair`` with truth, sharing what the pair caches
+    with every other run on it; the report as a suite CSV row. An unknown
+    method raises ValueError."""
+    report = run_method(method, pair, sparsity)
+    truth = pair.truth
     return {
         "method": method,
         "delta_hat": report.delta_hat,
@@ -93,7 +95,8 @@ def suite_fixture(d: int):
 
 
 def _suite_cells(suite: str, seeds: int):
-    """(param, seed, builder, methods, sparsity) work items, in output order."""
+    """(param, seed, builder, methods, sparsity) work items, in output order;
+    a builder returns the cell's ``Pair``."""
     if suite == "tradeoff":
         base, model = suite_fixture(6)
         methods = ("sees-d", "bbse", "kliep")
@@ -102,9 +105,9 @@ def _suite_cells(suite: str, seeds: int):
                 shifted = (1 + seed % 6,)
                 yield (
                     str(n), seed,
-                    lambda n=n, seed=seed, shifted=shifted: joint_trial(
+                    lambda n=n, seed=seed, shifted=shifted: Pair(*joint_trial(
                         base, model, shifted, n, seed
-                    ),
+                    )),
                     methods, 1,
                 )
     elif suite == "sparsity":
@@ -117,16 +120,16 @@ def _suite_cells(suite: str, seeds: int):
                 if true_s == 0:
                     yield (
                         "0", seed,
-                        lambda seed=seed: label_trial(base, model, 10000, seed),
+                        lambda seed=seed: Pair(*label_trial(base, model, 10000, seed)),
                         methods, 0,
                     )
                 else:
                     yield (
                         str(true_s), seed,
-                        lambda seed=seed, shifted=shifted, true_s=true_s: joint_trial(
+                        lambda seed=seed, shifted=shifted, true_s=true_s: Pair(*joint_trial(
                             base, model, shifted, 10000, seed,
                             amp=MULTI_AMPS[:true_s]
-                        ),
+                        )),
                         methods, true_s,
                     )
     elif suite == "robustness":
@@ -142,12 +145,14 @@ def _suite_cells(suite: str, seeds: int):
         }
         for kind in ROBUSTNESS_KINDS:
             for seed in range(seeds):
-                yield kind, seed, (lambda kind=kind, seed=seed: builders[kind](seed)), methods, 1
+                yield (kind, seed, (lambda kind=kind, seed=seed: Pair(*builders[kind](seed))),
+                       methods, 1)
     elif suite == "sensitivity":
         base, model = suite_fixture(7)
         shifted = (1, 2, 3)
-        # the eight configured sparsities of a seed read one pair, drawn here
-        pairs = [joint_trial(base, model, shifted, 10000, seed, amp=MULTI_AMPS, n_source=20000)
+        # the eight configured sparsities of a seed read one Pair, drawn here
+        pairs = [Pair(*joint_trial(base, model, shifted, 10000, seed, amp=MULTI_AMPS,
+                                   n_source=20000))
                  for seed in range(seeds)]
         for conf_s in range(0, 8):
             for seed in range(seeds):
@@ -162,10 +167,10 @@ def run_suite(suite: str, seeds: int, out_path, parallel: bool = True) -> int:
 
     def work(item):
         param, seed, build, methods, sparsity = item
-        source, target, truth = build()
+        pair = build()
         return [
             {"suite": suite, "param": param, "seed": seed,
-             **evaluate_method(m, source, target, truth, sparsity)}
+             **evaluate_method(m, pair, sparsity)}
             for m in methods
         ]
 

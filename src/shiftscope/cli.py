@@ -1,10 +1,11 @@
 """Command-line surface: estimate, simulate, bench.
 
-Each command reads its files, hands the work to the library
-(``estimator.run_method`` builds every report) and writes the result.
-With ``--method all`` a method that fails leaves an error entry in place
-of its report. Errors print a single ``ERROR <CATEGORY>: detail`` line and
-exit 2 for input problems, 1 for anything else.
+Each command reads its files, hands the work to the library and writes the
+result. ``estimate`` runs every method on one ``estimator.Pair``, so with
+``--method all`` they share its joints, source accuracy and truth weights;
+a method that fails leaves an error entry in place of its report. Errors
+print a single ``ERROR <CATEGORY>: detail`` line and exit 2 for input
+problems, 1 for anything else.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .data import (
     validate_dataset,
 )
 from .errors import InputError, ShiftScopeError, ValidationError
-from .estimator import METHODS, GroundTruth, run_method
+from .estimator import METHODS, GroundTruth, Pair, run_method
 from .predictor import load_predictions, predict, train_logistic
 from .sees_c import SeesCConfig
 from .sees_d import SeesDConfig
@@ -176,20 +177,16 @@ def cmd_estimate(args: argparse.Namespace) -> None:
         source = predict(model, source)
         target = predict(model, target)
 
-    if schema.all_discrete():
-        disc_source, disc_target = source, target
-    else:
-        disc = fit_discretizer(source, args.bins)
-        disc_source = apply_discretizer(disc, source)
-        disc_target = apply_discretizer(disc, target)
-
+    # the discretizer leaves an all-discrete dataset as it is
+    disc = fit_discretizer(source, args.bins)
     truth = load_truth(args.truth_path, schema) if args.truth_path else None
+    pair = Pair(source, target, truth,
+                (apply_discretizer(disc, source), apply_discretizer(disc, target)))
     methods = METHODS if args.method == "all" else (args.method,)
     entries, errors = [], []
     for m in methods:
         try:
-            entries.append(run_method(m, (source, target), (disc_source, disc_target), truth,
-                                      args.sparsity, args.eta, args.weight_bound,
+            entries.append(run_method(m, pair, args.sparsity, args.eta, args.weight_bound,
                                       args.kliep_iters).to_dict())
         except ShiftScopeError as exc:
             errors.append(exc)

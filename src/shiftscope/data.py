@@ -128,9 +128,6 @@ class FeatureSchema:
                 return i
         raise ValidationError(f"unknown column {name!r}")
 
-    def all_discrete(self) -> bool:
-        return all(c.kind == DISCRETE for c in self.columns)
-
 
 def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)

@@ -1,10 +1,11 @@
-"""The one method runner, gap calculation, shifted-feature selection, and
-evaluation metrics."""
+"""The prepared pair, the one method runner, gap calculation,
+shifted-feature selection, and evaluation metrics."""
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -12,7 +13,8 @@ from .baselines import KLIEP_ITERS, run_bbse, run_dlu, run_kliep
 from .data import ShiftReport, TabularDataset
 from .errors import MissingTruth, ValidationError
 from .sees_c import SeesCConfig, default_basis, feature_scores, run_sees_c
-from .sees_d import SeesDConfig, run_sees_d
+from .sees_d import SeesDConfig, run_sees_d, sample_joints
+from .tabulate import EmpiricalPmf
 from .weights import BasisWeight, TableWeight, WeightFunction
 
 METHODS = ("sees-d", "sees-c", "bbse", "kliep", "dlu")
@@ -91,43 +93,70 @@ def score_gap(delta_hat: float, truth: GroundTruth, source_acc: float) -> float:
     return float((delta_hat - delta_true) ** 2)
 
 
-def run_method(method: str, raw_pair, disc_pair, truth: GroundTruth | None, sparsity: int,
-               eta: float = SeesCConfig.eta, weight_bound: float = SeesDConfig.weight_bound,
-               kliep_iters: int = KLIEP_ITERS) -> ShiftReport:
-    """Fit one method's weight, evaluate it once on its source, estimate the
-    gap from those weights, and score them against truth.
+@dataclass(frozen=True, eq=False)
+class Pair:
+    """A labeled, predicted source and a predicted target with optional
+    truth, prepared once for every method and sparsity run on them.
+    ``discretized`` is what sees-d, bbse and dlu read, the raw pair by
+    default. Each cached value lives on the pair, never longer; it is a
+    deterministic function of the frozen fields, so threads that race on it
+    can at most compute it twice."""
 
-    sees-c and kliep read the raw (source, target) pair; sees-d, bbse and
-    dlu read the discretized one. With truth the report adds weight
-    MSE/PCC and, when the truth has a target accuracy, ``gap_sq_error``.
+    source: TabularDataset
+    target: TabularDataset
+    truth: GroundTruth | None = None
+    discretized: tuple[TabularDataset, TabularDataset] | None = None
+
+    def __post_init__(self):
+        if self.discretized is None:
+            object.__setattr__(self, "discretized", (self.source, self.target))
+
+    @cached_property
+    def joints(self) -> tuple[EmpiricalPmf, EmpiricalPmf]:
+        """sees-d's two joints; bbse reads their marginals."""
+        return sample_joints(*self.discretized)
+
+    @cached_property
+    def accuracy(self) -> float:
+        return source_accuracy(self.source)
+
+    @cached_property
+    def truth_weights(self) -> np.ndarray:
+        return self.truth.true_weights.weights_for(self.source)
+
+
+def run_method(method: str, pair: Pair, sparsity: int, eta: float = SeesCConfig.eta,
+               weight_bound: float = SeesDConfig.weight_bound,
+               kliep_iters: int = KLIEP_ITERS) -> ShiftReport:
+    """Fit one method's weight on ``pair``, evaluate it once on the source
+    the method read, estimate the gap from those weights, and score them
+    against the pair's truth, if any: weight MSE/PCC and, when the truth has
+    a target accuracy, ``gap_sq_error``. The joints sees-d and bbse read, the
+    source accuracy and the truth weights are the pair's, computed once.
     """
-    source, target = raw_pair if method in ("sees-c", "kliep") else disc_pair
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    raw = method in ("sees-c", "kliep")
+    source, target = (pair.source, pair.target) if raw else pair.discretized
     if method == "sees-d":
-        weight, selected, diag = run_sees_d(
-            source, target, SeesDConfig(sparsity=sparsity, weight_bound=weight_bound))
+        cfg = SeesDConfig(sparsity=sparsity, weight_bound=weight_bound)
+        weight, _, diag = run_sees_d(source, target, cfg, pair.joints)
     elif method == "sees-c":
         basis = default_basis(source.schema, reference=source)
         weight, diag = run_sees_c(source, target, basis, SeesCConfig(eta=eta))
-        selected = select_features(weight, sparsity)
     elif method == "bbse":
-        weight, diag = run_bbse(source, target)
-        selected = select_features(weight, sparsity)
+        weight, diag = run_bbse(source, target, pair.joints)
     elif method == "kliep":
         weight, diag = run_kliep(source, target, max_iters=kliep_iters)
-        selected = ()
-    elif method == "dlu":
-        weight, diag = run_dlu(source, target)
-        selected = ()
     else:
-        raise ValueError(f"unknown method {method!r}")
+        weight, diag = run_dlu(source, target)
     w = weight.weights_for(source)
     delta = estimate_gap(source, w)
-    acc = source_accuracy(source)
     weight_metrics = None
-    if truth is not None:
-        weight_metrics = score_weights(w, truth.true_weights.weights_for(source))
-        if truth.true_target_accuracy is not None:
-            diag = {**diag, "gap_sq_error": score_gap(delta, truth, acc)}
-    return ShiftReport(method=method, delta_hat=delta, source_accuracy=acc,
-                       selected_features=selected, diagnostics=diag,
-                       weight_metrics=weight_metrics)
+    if pair.truth is not None:
+        weight_metrics = score_weights(w, pair.truth_weights)
+        if pair.truth.true_target_accuracy is not None:
+            diag = {**diag, "gap_sq_error": score_gap(delta, pair.truth, pair.accuracy)}
+    return ShiftReport(method=method, delta_hat=delta, source_accuracy=pair.accuracy,
+                       selected_features=select_features(weight, sparsity),
+                       diagnostics=diag, weight_metrics=weight_metrics)

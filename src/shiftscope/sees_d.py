@@ -8,8 +8,8 @@ x_J the unknowns are the L weights w(x_J, .), so the system decouples into
 tiny per-cell blocks, which one stacked solver fits together.
 
 Both modes read the one table type, ``EmpiricalPmf``: sample mode is
-population mode on ``estimate_pmf`` joints, and only a marginal's ``.mass``
-is ever made dense.
+population mode on ``sample_joints``, which ``estimator.Pair`` builds once
+for every sparsity and for bbse. Only a marginal's ``.mass`` is made dense.
 """
 
 from __future__ import annotations
@@ -136,7 +136,9 @@ def _box_ls(A: np.ndarray, b: np.ndarray, hi: float) -> tuple[np.ndarray, float,
     return w[0], float(r @ r), int(changes[0])
 
 
-def _sample_joints(source: TabularDataset, target: TabularDataset):
+def sample_joints(source: TabularDataset, target: TabularDataset):
+    """The joints sees-d searches and bbse marginalizes: (features...,
+    prediction, label) of the source, (features..., prediction) of the target."""
     if source.labels is None or source.predictions is None:
         raise ValidationError("source needs labels and predictions")
     if target.predictions is None:
@@ -187,7 +189,7 @@ def _fit_blocks(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf, J,
 
 def fit_candidate(source: TabularDataset, target: TabularDataset, J,
                   cfg: SeesDConfig) -> CandidateFit:
-    return _fit_blocks(*_sample_joints(source, target), tuple(sorted(J)), cfg)
+    return _fit_blocks(*sample_joints(source, target), tuple(sorted(J)), cfg)
 
 
 def fit_candidate_population(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf,
@@ -234,14 +236,17 @@ def _normalize_table(weight: TableWeight, label_marg: np.ndarray) -> TableWeight
     return replace(weight, table={k: w * factor for k, w in weight.table.items()})
 
 
-def run_sees_d(source: TabularDataset, target: TabularDataset,
-               cfg: SeesDConfig) -> tuple[TableWeight, tuple[int, ...], dict]:
+def run_sees_d(source: TabularDataset, target: TabularDataset, cfg: SeesDConfig,
+               joints: tuple[EmpiricalPmf, EmpiricalPmf] | None = None,
+               ) -> tuple[TableWeight, tuple[int, ...], dict]:
     """Search all size-s candidates; returns (normalized weights, J, diagnostics).
+    ``joints``, when given, are the ``sample_joints`` of the two datasets,
+    built once (``estimator.Pair.joints``).
 
     Distances are compared before normalization; ties within 1e-12 go to
     the lexicographically smallest candidate.
     """
-    return _search(*_sample_joints(source, target), cfg)
+    return _search(*(joints or sample_joints(source, target)), cfg)
 
 
 def run_sees_d_population(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf,

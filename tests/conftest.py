@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,24 @@ def small_model(small_base):
 @pytest.fixture(scope="session")
 def small_scored(small_base, small_model):
     return predict(small_model, small_base)
+
+
+@pytest.fixture
+def pmf_calls(monkeypatch):
+    """The axes of every ``estimate_pmf`` call, through whichever shiftscope
+    module makes it."""
+    import shiftscope.tabulate
+
+    calls, real = [], shiftscope.tabulate.estimate_pmf
+
+    def counted(ds, axes):
+        calls.append(axes)
+        return real(ds, axes)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("shiftscope") and getattr(mod, "estimate_pmf", None) is real:
+            monkeypatch.setattr(mod, "estimate_pmf", counted)
+    return calls
 
 
 def make_rng(seed=0):

@@ -22,7 +22,7 @@ from shiftscope.bench import (
 )
 from shiftscope.cli import main
 from shiftscope.data import save_dataset, save_schema
-from shiftscope.estimator import estimate_gap, score_weights
+from shiftscope.estimator import Pair, estimate_gap, score_weights
 from shiftscope.predictor import predict, train_logistic
 from shiftscope.sees_c import SeesCConfig, default_basis, run_sees_c, sees_c_objective
 from shiftscope.sees_d import SeesDConfig, run_sees_d, run_sees_d_population
@@ -186,9 +186,9 @@ def test_criterion_07_age_case_pair_ordering():
     mse = {m: [] for m in ("sees-d", "bbse", "kliep")}
     gap = {m: [] for m in ("sees-d", "bbse", "kliep")}
     for seed in range(20):
-        source, target, truth = age_case_pair(model, 5000, seed, base=base)
+        pair = Pair(*age_case_pair(model, 5000, seed, base=base))
         for m in mse:
-            r = evaluate_method(m, source, target, truth, 1)
+            r = evaluate_method(m, pair, 1)
             mse[m].append(r["weight_mse"])
             gap[m].append(abs(r["delta_hat"] - r["delta_true"]))
     mse_mean = {m: float(np.mean(v)) for m, v in mse.items()}
@@ -215,11 +215,9 @@ def test_criterion_08_robustness_matrix(base6):
     errs = {kind: {m: [] for m in methods} for kind in builders}
     for kind, build in builders.items():
         for seed in range(20):
-            source, target, truth = build(seed)
+            pair = Pair(*build(seed))
             for m in methods:
-                errs[kind][m].append(
-                    evaluate_method(m, source, target, truth, 1)["gap_sq_error"]
-                )
+                errs[kind][m].append(evaluate_method(m, pair, 1)["gap_sq_error"])
     mean = {kind: {m: float(np.mean(v)) for m, v in per.items()}
             for kind, per in errs.items()}
     within_two = all(
@@ -239,12 +237,10 @@ def test_criterion_09_sparsity_sensitivity(base7):
     base, model = base7
     errs = {0: [], 2: [], 3: [], 4: []}
     for seed in range(20):
-        source, target, truth = joint_trial(base, model, (1, 2, 3), 10000, seed,
-                                            amp=MULTI_AMPS, n_source=20000)
+        pair = Pair(*joint_trial(base, model, (1, 2, 3), 10000, seed,
+                                 amp=MULTI_AMPS, n_source=20000))
         for s in errs:
-            errs[s].append(
-                evaluate_method("sees-d", source, target, truth, s)["gap_sq_error"]
-            )
+            errs[s].append(evaluate_method("sees-d", pair, s)["gap_sq_error"])
     mean = {s: float(np.mean(v)) for s, v in errs.items()}
     ok = (
         mean[2] <= 3.0 * mean[3]

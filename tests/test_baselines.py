@@ -5,7 +5,7 @@ import pytest
 
 from shiftscope.baselines import KLIEP_ITERS, run_bbse, run_bbse_population, run_dlu, run_kliep
 from shiftscope.errors import DegenerateKernel, SingularConfusion, ValidationError
-from shiftscope.estimator import score_weights
+from shiftscope.estimator import Pair, score_weights
 from shiftscope.sees_d import SeesDConfig, run_sees_d, run_sees_d_population
 from shiftscope.synth import (
     label_shifted,
@@ -69,6 +69,23 @@ class TestBbse:
             bbse_w, source, truth
         )
 
+    def test_reads_only_prediction_and_label_of_a_continuous_schema(self):
+        # bbse needs no feature axis, so a continuous column needs no binning
+        rng = np.random.default_rng(5)
+        schema = FeatureSchema(columns=(Column("a", "discrete", 2), Column("v", "continuous")),
+                               label_cardinality=2)
+
+        def draw(n, p_two):
+            y = np.where(rng.uniform(size=n) < p_two, 2, 1)
+            rows = np.column_stack([rng.integers(1, 3, n), rng.normal(y, 1.0, n)])
+            pred = np.where(rng.uniform(size=n) < 0.8, y, 3 - y)
+            return TabularDataset(schema=schema, rows=rows, labels=y, predictions=pred)
+
+        source, target = draw(400, 0.3), draw(300, 0.6)
+        weight, diag = run_bbse(source, target)
+        assert weight.value((), 2) > 1.0 > weight.value((), 1)
+        assert diag["condition_number"] > 0
+
     def test_singular_confusion_detected(self):
         source, target, _ = counterexample_fixture()
         constant = lambda x: 1  # noqa: E731 - classifier ignoring its input
@@ -114,21 +131,17 @@ class TestKliep:
         base, model = suite_fixture(6)
         kliep_errs, bbse_errs = [], []
         for seed in range(6):
-            source, target, truth = covariate_trial(base, model, 1, 8000, seed)
-            kliep_errs.append(
-                evaluate_method("kliep", source, target, truth, 1)["gap_sq_error"]
-            )
-            bbse_errs.append(
-                evaluate_method("bbse", source, target, truth, 1)["gap_sq_error"]
-            )
+            pair = Pair(*covariate_trial(base, model, 1, 8000, seed))
+            kliep_errs.append(evaluate_method("kliep", pair, 1)["gap_sq_error"])
+            bbse_errs.append(evaluate_method("bbse", pair, 1)["gap_sq_error"])
         assert np.mean(kliep_errs) <= np.mean(bbse_errs)
 
     def test_joint_shift_defeats_kliep(self, joint_pair):
         from shiftscope.bench import evaluate_method
 
-        source, target, truth = joint_pair
-        kliep_err = evaluate_method("kliep", source, target, truth, 1)["gap_sq_error"]
-        sees_err = evaluate_method("sees-d", source, target, truth, 1)["gap_sq_error"]
+        pair = Pair(*joint_pair)
+        kliep_err = evaluate_method("kliep", pair, 1)["gap_sq_error"]
+        sees_err = evaluate_method("sees-d", pair, 1)["gap_sq_error"]
         assert kliep_err > sees_err
 
     def test_degenerate_kernel_raises(self):
@@ -149,8 +162,7 @@ class TestDlu:
     def test_covariate_shift_error_small(self, covariate_pair_fx):
         from shiftscope.bench import evaluate_method
 
-        source, target, truth = covariate_pair_fx
-        dlu_err = evaluate_method("dlu", source, target, truth, 1)["gap_sq_error"]
+        dlu_err = evaluate_method("dlu", Pair(*covariate_pair_fx), 1)["gap_sq_error"]
         assert dlu_err < 1e-3
 
     def test_joint_shift_weight_mse_above_sees_d(self, joint_pair):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from shiftscope import bench
@@ -21,8 +23,7 @@ class TestSuiteLayout:
     def test_sparsity_cells_draw_their_own_shift_size(self):
         # build after the generator is spent, as run_suite does
         for param, _, build, _, sparsity in list(_suite_cells("sparsity", 1)):
-            _, _, truth = build()
-            assert len(truth.true_shift_set) == int(param) == sparsity
+            assert len(build().truth.true_shift_set) == int(param) == sparsity
 
     def test_seeds_multiply_cells(self):
         assert len(list(_suite_cells("robustness", 3))) == 9
@@ -38,7 +39,7 @@ class TestSuiteLayout:
 class TestEvaluateMethod:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_method("magic", None, None, None, 1)
+            evaluate_method("magic", None, 1)
 
 
 class TestSensitivityPairs:
@@ -54,5 +55,48 @@ class TestSensitivityPairs:
         monkeypatch.setattr(bench, "joint_trial", recording_trial)
         items = list(_suite_cells("sensitivity", 2))
         assert sorted(drawn) == [0, 1]
+        pairs = {seed: build() for _, seed, build, _, _ in items}
         for _, seed, build, _, _ in items:
-            assert build() is drawn[seed]
+            pair = build()
+            assert pair is pairs[seed]  # one Pair, so one set of cached joints
+            assert all(a is b for a, b in zip((pair.source, pair.target, pair.truth),
+                                              drawn[seed]))
+
+    def test_one_seed_builds_the_joints_and_the_truth_weights_once(self, monkeypatch,
+                                                                   tmp_path, pmf_calls):
+        from shiftscope.weights import TableWeight
+
+        drawn, truth_calls = [], []
+        trial, real_weights = bench.joint_trial, TableWeight.weights_for
+
+        def recording_trial(*args, **kwargs):
+            drawn.append(trial(*args, **kwargs))
+            return drawn[-1]
+
+        def counted_weights(self, ds):
+            if any(self is truth.true_weights and ds is source for source, _, truth in drawn):
+                truth_calls.append(ds)
+            return real_weights(self, ds)
+
+        monkeypatch.setattr(bench, "joint_trial", recording_trial)
+        monkeypatch.setattr(TableWeight, "weights_for", counted_weights)
+        assert bench.run_suite("sensitivity", 1, tmp_path / "sensitivity.csv") == 8
+        assert len(drawn) == 1
+        assert len(pmf_calls) == 2  # sees-d's two joints, read at all eight sparsities
+        assert len(truth_calls) == 1
+
+    def test_the_pool_writes_the_same_bytes_as_one_thread(self, monkeypatch, tmp_path):
+        # four threads switching often, so cells that share a Pair race on
+        # its cached fields
+        out = {}
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            for threads in ("1", "4"):
+                monkeypatch.setenv("SHIFTSCOPE_THREADS", threads)
+                path = tmp_path / f"sensitivity-{threads}.csv"
+                assert bench.run_suite("sensitivity", 2, path) == 16
+                out[threads] = path.read_bytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert out["1"] == out["4"]

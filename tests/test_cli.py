@@ -166,6 +166,11 @@ class TestEstimate:
         ]
         assert all(isinstance(r["delta_hat"], float) for r in reports)
 
+    def test_method_all_builds_the_joints_once(self, workspace, tmp_path, pmf_calls):
+        run_simulate(workspace)
+        assert self.estimate(workspace, tmp_path / "all.json", method="all") == 0
+        assert len(pmf_calls) == 2  # sees-d's two joints; bbse reads their marginals
+
     def test_method_all_keeps_the_methods_that_succeed(self, workspace, tmp_path):
         # a constant external predictor leaves bbse's confusion matrix singular
         run_simulate(workspace)
@@ -202,6 +207,7 @@ class TestEstimate:
         from shiftscope.bench import evaluate_method
         from shiftscope.cli import load_truth
         from shiftscope.data import load_dataset, load_schema
+        from shiftscope.estimator import Pair
         from shiftscope.predictor import predict, train_logistic
 
         run_simulate(workspace)
@@ -215,8 +221,9 @@ class TestEstimate:
         model = train_logistic(source)
         source, target = predict(model, source), predict(model, target)
         truth = load_truth(truth_path, schema)
+        pair = Pair(source, target, truth)
         for report in json.loads(out.read_text()):
-            row = evaluate_method(report["method"], source, target, truth, 1)
+            row = evaluate_method(report["method"], pair, 1)
             assert report["delta_hat"] == row["delta_hat"]
             assert report["diagnostics"]["gap_sq_error"] == row["gap_sq_error"]
             assert report["weight_metrics"] == {"mse": row["weight_mse"],

@@ -7,6 +7,7 @@ from shiftscope.data import Column, FeatureSchema, TabularDataset
 from shiftscope.errors import MissingTruth
 from shiftscope.estimator import (
     GroundTruth,
+    Pair,
     estimate_gap,
     run_method,
     score_gap,
@@ -204,7 +205,7 @@ def test_run_method_evaluates_each_weight_once_on_its_source(method, expected, m
             return _real(self, ds)
 
         monkeypatch.setattr(cls, "weights_for", counted)
-    run_method(method, (source, target), (source, target), truth, 1)
+    run_method(method, Pair(source, target, truth), 1)
     assert calls == expected
 
 
@@ -213,23 +214,30 @@ def test_run_method_evaluates_each_weight_once_on_its_source(method, expected, m
 def test_one_class_source_keeps_target_accuracy_within_unit_interval(seed, method,
                                                                      monkeypatch):
     """A source of one class, predicted right on every row, gives weights whose
-    source mean is 1 only up to rounding; the estimate must not pass 1, and
-    delta_hat, accuracy_drop and the target accuracy must agree."""
+    source mean is 1 only up to rounding, so the method's gap is rounding noise
+    around 0 with no reliable sign. The gap the report gets is made to overshoot
+    1 by a known amount; the estimate must not pass 1, and delta_hat,
+    accuracy_drop and the target accuracy must agree."""
     import shiftscope.estimator as estimator
     from shiftscope.predictor import predict, train_logistic
     from shiftscope.synth import binary_base
 
+    overshoot = 2.0 ** -30
     raw = []
     real_gap = estimator.estimate_gap
-    monkeypatch.setattr(estimator, "estimate_gap",
-                        lambda ds, w: raw.append(real_gap(ds, w)) or raw[-1])
+
+    def overshooting_gap(ds, w):
+        raw.append(real_gap(ds, w))
+        return 1.0 - source_accuracy(ds) + overshoot
+
+    monkeypatch.setattr(estimator, "estimate_gap", overshooting_gap)
     base = binary_base(4, 3000, seed)
     source = base.take(np.flatnonzero(base.labels == 2))
     model = train_logistic(source)
     source = predict(model, source)
     target = predict(model, binary_base(4, 2000, seed + 100)).without_labels()
-    report = run_method(method, (source, target), (source, target), None, 1)
-    assert report.source_accuracy + raw[0] > 1.0  # the unclipped gap overshoots
+    report = run_method(method, Pair(source, target), 1)
+    assert report.source_accuracy == 1.0 and abs(raw[0]) < 1e-12
     out = report.to_dict()
     assert out["estimated_target_accuracy"] == 1.0
     assert out["delta_hat"] == 1.0 - out["source_accuracy"]

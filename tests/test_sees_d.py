@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import lsq_linear
 
+from shiftscope.baselines import run_bbse, run_bbse_population
 from shiftscope.errors import TooManyCandidates, ValidationError
+from shiftscope.estimator import Pair
 from shiftscope.data import Column, FeatureSchema, TabularDataset
 from shiftscope.bench import run_suite
 from shiftscope.sees_d import (
@@ -494,6 +496,24 @@ def three_label_pair():
 
     source, target = dataset(src, True), dataset(tgt, False)
     return source, target, m * source.n / target.n
+
+
+def joint_trial_pair():
+    from shiftscope.bench import joint_trial, suite_fixture
+
+    base, model = suite_fixture(6)
+    return joint_trial(base, model, (1,), 8000, 3)
+
+
+@pytest.mark.parametrize("build", [joint_trial_pair, three_label_pair])
+def test_bbse_on_the_pairs_sees_d_joints_matches_its_own_joints(build):
+    source, target, _ = build()
+    shared = run_bbse(source, target, Pair(source, target).joints)
+    alone = run_bbse_population(estimate_pmf(source, (PREDICTION, LABEL)),
+                                estimate_pmf(target, (PREDICTION,)))
+    assert shared[0].table == alone[0].table
+    assert shared[1] == alone[1]
+    assert run_bbse(source, target) == alone
 
 
 def test_three_labels_recover_the_shifted_feature():
