@@ -1,6 +1,6 @@
 """shiftscope: accuracy-change estimation under sparse joint shift."""
 
-from .baselines import run_bbse, run_bbse_population, run_dlu, run_kliep
+from .baselines import run_bbse, run_dlu, run_kliep
 from .data import (
     Column,
     FeatureSchema,
@@ -30,9 +30,7 @@ from .sees_d import (
     SeesDConfig,
     enumerate_kappas,
     fit_candidate,
-    fit_candidate_population,
     run_sees_d,
-    run_sees_d_population,
 )
 from .synth import (
     AnalyticDistribution,

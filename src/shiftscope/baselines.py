@@ -9,7 +9,7 @@ from .data import FeatureSchema, TabularDataset
 from .errors import DegenerateKernel, SingularConfusion, ValidationError
 from .predictor import one_hot, train_logistic
 from .sees_c import kkt_residual, project_feasible, projected_ascent
-from .tabulate import LABEL, PREDICTION, EmpiricalPmf, distinct_first, estimate_pmf
+from .tabulate import LABEL, PREDICTION, EmpiricalPmf, distinct_first
 from .weights import KernelWeight, ModelRatioWeight, TableWeight, gaussian_kernel, sq_distances
 
 CONDITION_LIMIT = 1e12
@@ -18,25 +18,12 @@ KLIEP_ITERS = 2500
 KLIEP_TOL = 1e-7  # one step's objective gain below this ends the ascent
 
 
-def run_bbse(source: TabularDataset, target: TabularDataset,
-             joints: tuple[EmpiricalPmf, EmpiricalPmf] | None = None) -> tuple[TableWeight, dict]:
-    """BBSE label weights: ``run_bbse_population`` on the ``estimate_pmf``
-    joints of the two datasets, or on ``joints``, sees-d's sample joints of
-    them, when given; joints of row counts give the same tables to the bit."""
-    if source.labels is None or source.predictions is None:
-        raise ValidationError("BBSE needs source labels and predictions")
-    if target.predictions is None:
-        raise ValidationError("BBSE needs target predictions")
-    if joints is not None:
-        return run_bbse_population(*joints)
-    return run_bbse_population(estimate_pmf(source, (PREDICTION, LABEL)),
-                               estimate_pmf(target, (PREDICTION,)))
-
-
-def run_bbse_population(source_joint: EmpiricalPmf,
-                        target_joint: EmpiricalPmf) -> tuple[TableWeight, dict]:
+def run_bbse(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf) -> tuple[TableWeight, dict]:
     """Solve the hard-prediction confusion system C w = mu for label weights,
-    from joints over (..., prediction, label) and (..., prediction).
+    from joints over (..., prediction, label) and (..., prediction): sees-d's
+    ``sample_joints``, or ``estimate_pmf(source, (PREDICTION, LABEL))`` and
+    ``estimate_pmf(target, (PREDICTION,))`` on any schema. Joints of row
+    counts give the same tables to the bit either way.
 
     Negative solution entries are clipped to zero before renormalizing the
     source expectation to 1.

@@ -161,7 +161,7 @@ def _suite_cells(suite: str, seeds: int):
         raise ValueError(f"unknown suite {suite!r}")
 
 
-def run_suite(suite: str, seeds: int, out_path, parallel: bool = True) -> int:
+def run_suite(suite: str, seeds: int, out_path) -> int:
     """Run a suite and write the per-run CSV; returns the row count."""
     cells = list(_suite_cells(suite, seeds))
 
@@ -174,7 +174,7 @@ def run_suite(suite: str, seeds: int, out_path, parallel: bool = True) -> int:
             for m in methods
         ]
 
-    if parallel and thread_cap() > 1 and len(cells) > 1:
+    if thread_cap() > 1 and len(cells) > 1:
         with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
             chunks = list(pool.map(work, cells))
     else:

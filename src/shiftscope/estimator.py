@@ -97,10 +97,11 @@ def score_gap(delta_hat: float, truth: GroundTruth, source_acc: float) -> float:
 class Pair:
     """A labeled, predicted source and a predicted target with optional
     truth, prepared once for every method and sparsity run on them.
-    ``discretized`` is what sees-d, bbse and dlu read, the raw pair by
-    default. Each cached value lives on the pair, never longer; it is a
-    deterministic function of the frozen fields, so threads that race on it
-    can at most compute it twice."""
+    ``discretized``, the raw pair by default, is what dlu reads and what
+    ``joints``, the two joints sees-d and bbse run on, are built from. Each
+    cached value lives on the pair, never longer; it is a deterministic
+    function of the frozen fields, so threads that race on it can at most
+    compute it twice."""
 
     source: TabularDataset
     target: TabularDataset
@@ -140,12 +141,12 @@ def run_method(method: str, pair: Pair, sparsity: int, eta: float = SeesCConfig.
     source, target = (pair.source, pair.target) if raw else pair.discretized
     if method == "sees-d":
         cfg = SeesDConfig(sparsity=sparsity, weight_bound=weight_bound)
-        weight, _, diag = run_sees_d(source, target, cfg, pair.joints)
+        weight, _, diag = run_sees_d(*pair.joints, cfg)
     elif method == "sees-c":
         basis = default_basis(source.schema, reference=source)
         weight, diag = run_sees_c(source, target, basis, SeesCConfig(eta=eta))
     elif method == "bbse":
-        weight, diag = run_bbse(source, target, pair.joints)
+        weight, diag = run_bbse(*pair.joints)
     elif method == "kliep":
         weight, diag = run_kliep(source, target, max_iters=kliep_iters)
     else:

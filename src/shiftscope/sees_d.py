@@ -7,16 +7,17 @@ the candidate attaining the smallest residual wins. For a fixed value of
 x_J the unknowns are the L weights w(x_J, .), so the system decouples into
 tiny per-cell blocks, which one stacked solver fits together.
 
-Both modes read the one table type, ``EmpiricalPmf``: sample mode is
-population mode on ``sample_joints``, which ``estimator.Pair`` builds once
-for every sparsity and for bbse. Only a marginal's ``.mass`` is made dense.
+``run_sees_d`` reads two joints of the one table type, ``EmpiricalPmf``:
+exact ones in population mode, the ``sample_joints`` of two datasets in
+sample mode, which ``estimator.Pair`` builds once for every sparsity and for
+bbse. Only a marginal's ``.mass`` is made dense.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from itertools import combinations, product
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class SeesDConfig:
 @dataclass(frozen=True)
 class CandidateFit:
     index_set: tuple[int, ...]
-    weights: TableWeight
+    weights: np.ndarray  # (*cardinalities of J, L), unnormalized
     distance: float
     unconstrained_cells: int = 0
     solver_iterations: int = 0
@@ -128,14 +129,6 @@ def _bvls(A: np.ndarray, b: np.ndarray, hi: float) -> tuple[np.ndarray, np.ndarr
     return best_w, best_f, best_changes
 
 
-def _box_ls(A: np.ndarray, b: np.ndarray, hi: float) -> tuple[np.ndarray, float, int]:
-    """``_bvls`` on the one block (A, b); the residual is ||A w - b||^2 of
-    the returned w. Returns (w, residual, number of active-set changes)."""
-    w, _, changes = _bvls(A[None], b[None], hi)
-    r = A @ w[0] - b
-    return w[0], float(r @ r), int(changes[0])
-
-
 def sample_joints(source: TabularDataset, target: TabularDataset):
     """The joints sees-d searches and bbse marginalizes: (features...,
     prediction, label) of the source, (features..., prediction) of the target."""
@@ -176,29 +169,32 @@ def _fit_blocks(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf, J,
     w, residual, changes = _bvls(A, np.concatenate(q, axis=1), cfg.weight_bound)
     live = A.sum(axis=1) > 0
     w[~live] = 1.0
-    cells = product(*(range(1, c + 1) for c in cards_j))
-    table = {(xj, y): v for xj, row in zip(cells, w.tolist()) for y, v in enumerate(row, 1)}
     return CandidateFit(
         index_set=tuple(J),
-        weights=TableWeight(index_set=tuple(J), table=table),
+        weights=w.reshape(*cards_j, L),
         distance=sum(residual.tolist()),
         unconstrained_cells=int((~live).sum()),
         solver_iterations=int(changes.sum()),
     )
 
 
-def fit_candidate(source: TabularDataset, target: TabularDataset, J,
+def fit_candidate(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf, J,
                   cfg: SeesDConfig) -> CandidateFit:
-    return _fit_blocks(*sample_joints(source, target), tuple(sorted(J)), cfg)
-
-
-def fit_candidate_population(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf,
-                             J, cfg: SeesDConfig) -> CandidateFit:
+    """Fit the one candidate J on the two joints (``sample_joints``, or exact ones)."""
     return _fit_blocks(*_check_joints(source_joint, target_joint), tuple(sorted(J)), cfg)
 
 
-def _search(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf,
-            cfg: SeesDConfig) -> tuple[TableWeight, tuple[int, ...], dict]:
+def run_sees_d(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf,
+               cfg: SeesDConfig) -> tuple[TableWeight, tuple[int, ...], dict]:
+    """Search all size-s candidates on the two joints, ``sample_joints`` of
+    two datasets or exact ones; returns (normalized weights, J, diagnostics).
+
+    Distances are compared before normalization; ties within 1e-12 go to
+    the lexicographically smallest candidate. Only the winner's weights
+    become a ``TableWeight``, rescaled so their source expectation, taken
+    over the (x_J, y) source marginal, is 1.
+    """
+    _check_joints(source_joint, target_joint)
     d = len(source_joint.axes) - 2
     s = cfg.sparsity
     if s > d:
@@ -218,38 +214,14 @@ def _search(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf,
     diagnostics["solver_iterations"] = float(best.solver_iterations)
     diagnostics["candidates"] = float(len(fits))
     label_marg = source_joint.marginal((*best.index_set, LABEL)).mass
-    return _normalize_table(best.weights, label_marg), best.index_set, diagnostics
-
-
-def _normalize_table(weight: TableWeight, label_marg: np.ndarray) -> TableWeight:
-    """Rescale so the source expectation of the weight equals 1, computed
-    from the (x_J, y) source marginal."""
     mean = 0.0
-    it = np.ndindex(label_marg.shape)
-    for idx in it:
-        xj = tuple(v + 1 for v in idx[:-1])
-        y = idx[-1] + 1
-        mean += label_marg[idx] * weight.value(xj, y)
+    # one product at a time in C order: np.sum's pairwise order and the
+    # builtin sum's compensated one would move the output's last bits
+    for m, v in zip(label_marg.ravel().tolist(), best.weights.ravel().tolist()):
+        mean += m * v
     if mean <= 0:
         raise ValidationError("cannot normalize: zero source expectation")
-    factor = 1.0 / mean
-    return replace(weight, table={k: w * factor for k, w in weight.table.items()})
-
-
-def run_sees_d(source: TabularDataset, target: TabularDataset, cfg: SeesDConfig,
-               joints: tuple[EmpiricalPmf, EmpiricalPmf] | None = None,
-               ) -> tuple[TableWeight, tuple[int, ...], dict]:
-    """Search all size-s candidates; returns (normalized weights, J, diagnostics).
-    ``joints``, when given, are the ``sample_joints`` of the two datasets,
-    built once (``estimator.Pair.joints``).
-
-    Distances are compared before normalization; ties within 1e-12 go to
-    the lexicographically smallest candidate.
-    """
-    return _search(*(joints or sample_joints(source, target)), cfg)
-
-
-def run_sees_d_population(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf,
-                          cfg: SeesDConfig) -> tuple[TableWeight, tuple[int, ...], dict]:
-    """Population mode: the same search over exact joints."""
-    return _search(*_check_joints(source_joint, target_joint), cfg)
+    w = best.weights * (1.0 / mean)
+    table = {(tuple(i + 1 for i in idx[:-1]), idx[-1] + 1): v
+             for idx, v in zip(np.ndindex(w.shape), w.ravel().tolist())}
+    return TableWeight(index_set=best.index_set, table=table), best.index_set, diagnostics

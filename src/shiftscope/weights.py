@@ -54,14 +54,12 @@ class TableWeight(WeightFunction):
     """Lookup table over (x_J, y) with a neutral fallback for unseen keys.
 
     ``index_set`` holds sorted 1-based feature indices; keys are
-    ``(x_J value tuple, y)``. Unseen keys evaluate to ``fallback`` (1.0 by
-    default: absent source mass gives no evidence of shift) and are counted
-    by :meth:`fallback_hits`.
+    ``(x_J value tuple, y)``. Unseen keys evaluate to 1.0 (absent source
+    mass gives no evidence of shift) and are counted by :meth:`fallback_hits`.
     """
 
     index_set: tuple[int, ...]
     table: dict
-    fallback: float = 1.0
 
     def __post_init__(self):
         idx = tuple(sorted(int(i) for i in self.index_set))
@@ -84,14 +82,14 @@ class TableWeight(WeightFunction):
 
     def weights_for(self, ds: TabularDataset) -> np.ndarray:
         found, inverse = self._cell_lookup(ds)
-        return np.array([self.fallback if w is None else w for w in found], dtype=float)[inverse]
+        return np.array([1.0 if w is None else w for w in found], dtype=float)[inverse]
 
     def fallback_hits(self, ds: TabularDataset) -> int:
         found, inverse = self._cell_lookup(ds)
         return int(np.array([w is None for w in found], dtype=bool)[inverse].sum())
 
     def value(self, x_j, y: int) -> float:
-        return self.table.get((tuple(int(v) for v in x_j), int(y)), self.fallback)
+        return self.table.get((tuple(int(v) for v in x_j), int(y)), 1.0)
 
 
 @dataclass(frozen=True)

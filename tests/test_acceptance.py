@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shiftscope.baselines import run_bbse_population
+from shiftscope.baselines import run_bbse
 from shiftscope.bench import (
     MULTI_AMPS,
     covariate_trial,
@@ -25,7 +25,7 @@ from shiftscope.data import save_dataset, save_schema
 from shiftscope.estimator import Pair, estimate_gap, score_weights
 from shiftscope.predictor import predict, train_logistic
 from shiftscope.sees_c import SeesCConfig, default_basis, run_sees_c, sees_c_objective
-from shiftscope.sees_d import SeesDConfig, run_sees_d, run_sees_d_population
+from shiftscope.sees_d import SeesDConfig, run_sees_d, sample_joints
 from shiftscope.synth import (
     binary_base,
     boosted_marginal,
@@ -72,7 +72,7 @@ def test_criterion_02_population_identifiability():
     clf = stump(2)
     sj = population_joint(source, clf)
     tj = population_joint(target, clf, include_label=False)
-    weight, selected, diag = run_sees_d_population(sj, tj, SeesDConfig(sparsity=1))
+    weight, selected, diag = run_sees_d(sj, tj, SeesDConfig(sparsity=1))
     cell_err = max(
         abs(weight.value((x1,), y) - truth.true_weights.value((x1,), y))
         for x1 in (1, 2)
@@ -88,7 +88,7 @@ def test_criterion_03_bbse_exact_under_label_shift():
     target = label_shifted(source, {1: Fraction(1, 5), 2: Fraction(4, 5)})
     sj = population_joint(source, stump(2))
     tj = population_joint(target, stump(2), include_label=False)
-    weight, _ = run_bbse_population(sj, tj)
+    weight, _ = run_bbse(sj, tj)
     err = max(abs(weight.value((), 1) - 0.4), abs(weight.value((), 2) - 1.6))
     report(3, "label-shift weights match exact class ratios", err < 1e-9,
            f"max err {err:.2e}")
@@ -162,7 +162,7 @@ def test_criterion_06_finite_sample_recovery(base6):
     for seed in range(100):
         shifted = (1 + seed % 6,)
         source, target, truth = joint_trial(base, model, shifted, 10000, seed)
-        _, selected, _ = run_sees_d(source, target, cfg)
+        _, selected, _ = run_sees_d(*sample_joints(source, target), cfg)
         hits += int(selected == truth.true_shift_set)
 
     rmse = {2500: [], 40000: []}
@@ -170,7 +170,7 @@ def test_criterion_06_finite_sample_recovery(base6):
         for seed in range(50):
             shifted = (1 + seed % 6,)
             source, target, truth = joint_trial(base, model, shifted, n, seed)
-            weight, _, _ = run_sees_d(source, target, cfg)
+            weight, _, _ = run_sees_d(*sample_joints(source, target), cfg)
             mse = score_weights(weight.weights_for(source),
                                 truth.true_weights.weights_for(source))["mse"]
             rmse[n].append(float(np.sqrt(mse)))

@@ -3,10 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shiftscope.baselines import KLIEP_ITERS, run_bbse, run_bbse_population, run_dlu, run_kliep
+from shiftscope.baselines import KLIEP_ITERS, run_bbse, run_dlu, run_kliep
 from shiftscope.errors import DegenerateKernel, SingularConfusion, ValidationError
 from shiftscope.estimator import Pair, score_weights
-from shiftscope.sees_d import SeesDConfig, run_sees_d, run_sees_d_population
+from shiftscope.sees_d import SeesDConfig, run_sees_d, sample_joints
 from shiftscope.synth import (
     label_shifted,
     population_joint,
@@ -14,6 +14,7 @@ from shiftscope.synth import (
     counterexample_fixture,
 )
 from shiftscope.data import Column, FeatureSchema, TabularDataset
+from shiftscope.tabulate import LABEL, PREDICTION, estimate_pmf
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +47,7 @@ def population_weight_mse(weight, source_dist, truth):
 
 class TestBbse:
     def test_identical_pair_gives_unit_weights(self, small_scored):
-        weight, diag = run_bbse(small_scored, small_scored)
+        weight, diag = run_bbse(*sample_joints(small_scored, small_scored))
         for y in (1, 2):
             assert weight.value((), y) == pytest.approx(1.0, abs=1e-9)
 
@@ -55,7 +56,7 @@ class TestBbse:
         target = label_shifted(source, {1: Fraction(1, 5), 2: Fraction(4, 5)})
         sj = population_joint(source, stump(2))
         tj = population_joint(target, stump(2), include_label=False)
-        weight, diag = run_bbse_population(sj, tj)
+        weight, diag = run_bbse(sj, tj)
         assert weight.value((), 1) == pytest.approx(0.4, abs=1e-9)
         assert weight.value((), 2) == pytest.approx(1.6, abs=1e-9)
 
@@ -63,8 +64,8 @@ class TestBbse:
         source, target, truth = counterexample_fixture()
         sj = population_joint(source, stump(2))
         tj = population_joint(target, stump(2), include_label=False)
-        bbse_w, _ = run_bbse_population(sj, tj)
-        sees_w, _, _ = run_sees_d_population(sj, tj, SeesDConfig(sparsity=1))
+        bbse_w, _ = run_bbse(sj, tj)
+        sees_w, _, _ = run_sees_d(sj, tj, SeesDConfig(sparsity=1))
         assert population_weight_mse(sees_w, source, truth) < population_weight_mse(
             bbse_w, source, truth
         )
@@ -82,7 +83,8 @@ class TestBbse:
             return TabularDataset(schema=schema, rows=rows, labels=y, predictions=pred)
 
         source, target = draw(400, 0.3), draw(300, 0.6)
-        weight, diag = run_bbse(source, target)
+        weight, diag = run_bbse(estimate_pmf(source, (PREDICTION, LABEL)),
+                                estimate_pmf(target, (PREDICTION,)))
         assert weight.value((), 2) > 1.0 > weight.value((), 1)
         assert diag["condition_number"] > 0
 
@@ -92,7 +94,7 @@ class TestBbse:
         sj = population_joint(source, constant)
         tj = population_joint(target, constant, include_label=False)
         with pytest.raises(SingularConfusion):
-            run_bbse_population(sj, tj)
+            run_bbse(sj, tj)
 
 
 class TestKliep:
@@ -168,7 +170,7 @@ class TestDlu:
     def test_joint_shift_weight_mse_above_sees_d(self, joint_pair):
         source, target, truth = joint_pair
         dlu_w, _ = run_dlu(source, target)
-        sees_w, _, _ = run_sees_d(source, target, SeesDConfig(sparsity=1))
+        sees_w, _, _ = run_sees_d(*sample_joints(source, target), SeesDConfig(sparsity=1))
         ref = truth.true_weights.weights_for(source)
         dlu_mse = score_weights(dlu_w.weights_for(source), ref)["mse"]
         sees_mse = score_weights(sees_w.weights_for(source), ref)["mse"]
@@ -178,8 +180,8 @@ class TestDlu:
 class TestNormalization:
     def test_all_baselines_unit_source_mean(self, joint_pair):
         source, target, _ = joint_pair
-        for runner in (run_bbse, run_kliep, run_dlu):
-            weight, _ = runner(source, target)
+        for weight, _ in (run_bbse(*sample_joints(source, target)),
+                          run_kliep(source, target), run_dlu(source, target)):
             vals = weight.weights_for(source)
             assert (vals >= 0).all()
             assert abs(float(np.mean(vals)) - 1.0) < 1e-6

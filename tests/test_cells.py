@@ -82,11 +82,11 @@ def test_table_weight_matches_per_row_lookup(ds, data):
         itertools.product(*(range(1, ds.schema.column(j).cardinality + 1) for j in index_set)),
         range(1, LABELS + 1),
     )
-    # every key may be left out of the table, so rows hit the fallback
+    # every key may be left out of the table, so rows hit the fallback of 1.0
     table = {key: data.draw(st.floats(0.0, 10.0)) for key in cells if data.draw(st.booleans())}
-    w = TableWeight(index_set=index_set, table=table, fallback=data.draw(st.floats(0.0, 3.0)))
+    w = TableWeight(index_set=index_set, table=table)
     keys = row_keys(ds, index_set)
-    assert w.weights_for(ds).tolist() == [w.table.get(k, w.fallback) for k in keys]
+    assert w.weights_for(ds).tolist() == [w.table.get(k, 1.0) for k in keys]
     assert w.fallback_hits(ds) == sum(k not in w.table for k in keys)
 
 

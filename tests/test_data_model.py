@@ -14,8 +14,7 @@ from shiftscope.data import (
     validate_dataset,
 )
 from shiftscope.errors import SchemaMismatch, ValidationError
-from shiftscope.sees_d import _normalize_table
-from shiftscope.tabulate import LABEL, estimate_pmf
+from shiftscope.sees_d import SeesDConfig, run_sees_d, sample_joints
 from shiftscope.weights import TableWeight
 
 
@@ -161,14 +160,13 @@ class TestTableWeightFallback:
             TableWeight(index_set=(1,), table={((1,), 1): -0.5})
 
     def test_normalization_hits_unit_mean(self, small_scored):
-        table = {
-            ((v,), y): 0.5 + 0.25 * v * y
-            for v in (1, 2)
-            for y in (1, 2)
-        }
-        label_marg = estimate_pmf(small_scored, (1, LABEL)).mass
-        w = _normalize_table(TableWeight(index_set=(1,), table=table), label_marg)
-        assert abs(np.mean(w.weights_for(small_scored)) - 1.0) < 1e-6
+        # sees-d rescales its winner over the (x_J, y) source marginal
+        rng = np.random.default_rng(5)
+        target = small_scored.take(rng.integers(0, small_scored.n, size=1500))
+        joints = sample_joints(small_scored, target)
+        for s in range(small_scored.schema.d + 1):
+            w, _, _ = run_sees_d(*joints, SeesDConfig(sparsity=s))
+            assert abs(np.mean(w.weights_for(small_scored)) - 1.0) < 1e-12
 
 
 class TestShiftReport:

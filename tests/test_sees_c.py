@@ -21,6 +21,7 @@ from shiftscope.sees_c import (
     sees_c_objective,
 )
 from shiftscope.synth import binary_base, boosted_marginal, correlation_boost, empirical_marginal, shifted_pair
+from shiftscope.tabulate import LABEL, PREDICTION, estimate_pmf
 
 
 def mixed_schema():
@@ -257,7 +258,8 @@ class TestRunSeesC:
         basis = default_basis(source.schema)
         w, _ = run_sees_c(source, target, basis, SeesCConfig(max_iters=2000))
         mse_c = score_weights(w.weights_for(source), truth.true_weights.weights_for(source))["mse"]
-        wb, _ = run_bbse(source, target)
+        wb, _ = run_bbse(estimate_pmf(source, (PREDICTION, LABEL)),
+                         estimate_pmf(target, (PREDICTION,)))
         mse_b = score_weights(wb.weights_for(source), truth.true_weights.weights_for(source))["mse"]
         assert mse_c < mse_b
 

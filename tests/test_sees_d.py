@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import lsq_linear
 
-from shiftscope.baselines import run_bbse, run_bbse_population
+from shiftscope.baselines import run_bbse
 from shiftscope.errors import TooManyCandidates, ValidationError
 from shiftscope.estimator import Pair
 from shiftscope.data import Column, FeatureSchema, TabularDataset
@@ -16,14 +16,12 @@ from shiftscope.bench import run_suite
 from shiftscope.sees_d import (
     CandidateFit,
     SeesDConfig,
-    _box_ls,
     _bvls,
     _fit_blocks,
     enumerate_kappas,
     fit_candidate,
-    fit_candidate_population,
     run_sees_d,
-    run_sees_d_population,
+    sample_joints,
 )
 from shiftscope.synth import (
     identifiable_fixture,
@@ -110,12 +108,12 @@ def oracle_candidate_distance(source, target, classifier, J, d, s, bound):
 class TestCounterexamplePopulation:
     def test_true_candidate_is_exact(self):
         sj, tj, truth = counterexample_joints()
-        fit = fit_candidate_population(sj, tj, (1,), SeesDConfig(sparsity=1))
+        fit = fit_candidate(sj, tj, (1,), SeesDConfig(sparsity=1))
         assert fit.distance < 1e-12
         for x1 in (1, 2):
             for y in (1, 2):
                 expected = truth.true_weights.value((x1,), y)
-                assert fit.weights.value((x1,), y) == pytest.approx(expected, abs=1e-9)
+                assert fit.weights[x1 - 1, y - 1] == pytest.approx(expected, abs=1e-9)
 
     def test_wrong_candidate_matches_oracle(self):
         # With two features the matching marginals use the full feature set,
@@ -128,13 +126,13 @@ class TestCounterexamplePopulation:
             source, target, stump(2), (2,), d=2, s=1, bound=20.0
         )
         sj, tj, _ = counterexample_joints()
-        fit = fit_candidate_population(sj, tj, (2,), SeesDConfig(sparsity=1))
+        fit = fit_candidate(sj, tj, (2,), SeesDConfig(sparsity=1))
         assert fit.distance == pytest.approx(expected, abs=1e-10)
         assert expected < 1e-12
 
     def test_selection_returns_true_set(self):
         sj, tj, truth = counterexample_joints()
-        weight, selected, diag = run_sees_d_population(sj, tj, SeesDConfig(sparsity=1))
+        weight, selected, diag = run_sees_d(sj, tj, SeesDConfig(sparsity=1))
         assert selected == (1,)
         assert diag["selected_distance"] < 1e-12
         assert weight.value((2,), 2) == pytest.approx(6.0, abs=1e-9)
@@ -148,7 +146,7 @@ class TestIdentifiableFixture:
         source, target, truth = identifiable_fixture()
         sj = population_joint(source, stump(2))
         tj = population_joint(target, stump(2), include_label=False)
-        weight, selected, diag = run_sees_d_population(sj, tj, SeesDConfig(sparsity=1))
+        weight, selected, diag = run_sees_d(sj, tj, SeesDConfig(sparsity=1))
         assert selected == (1,)
         assert diag["dd(1)"] < 1e-12
         assert diag["dd(2)"] > 1e-4 and diag["dd(3)"] > 1e-4
@@ -164,7 +162,7 @@ class TestIdentifiableFixture:
         tj = population_joint(target, stump(2), include_label=False)
         cfg = SeesDConfig(sparsity=1)
         for J in ((1,), (2,), (3,)):
-            fit = fit_candidate_population(sj, tj, J, cfg)
+            fit = fit_candidate(sj, tj, J, cfg)
             expected = oracle_candidate_distance(
                 source, target, stump(2), J, d=3, s=1, bound=cfg.weight_bound
             )
@@ -174,40 +172,23 @@ class TestIdentifiableFixture:
 class TestSampleMode:
     def test_identical_pair_gives_unit_weights(self, small_scored):
         cfg = SeesDConfig(sparsity=1)
-        fit = fit_candidate(small_scored, small_scored, (2,), cfg)
+        fit = fit_candidate(*sample_joints(small_scored, small_scored), (2,), cfg)
         assert fit.distance < 1e-20
-        for v in (1, 2):
-            for y in (1, 2):
-                assert fit.weights.value((v,), y) == pytest.approx(1.0, abs=1e-9)
+        assert fit.weights.shape == (2, 2)
+        assert np.abs(fit.weights - 1.0).max() <= 1e-9
 
     def test_duplicating_rows_changes_nothing(self, small_scored):
         cfg = SeesDConfig(sparsity=1)
         doubled = small_scored.take(np.repeat(np.arange(small_scored.n), 2))
-        w1, j1, _ = run_sees_d(small_scored, small_scored, cfg)
-        w2, j2, _ = run_sees_d(doubled, doubled, cfg)
+        w1, j1, _ = run_sees_d(*sample_joints(small_scored, small_scored), cfg)
+        w2, j2, _ = run_sees_d(*sample_joints(doubled, doubled), cfg)
         assert j1 == j2
         assert dict(w1.table) == pytest.approx(dict(w2.table))
-
-    def test_sample_mode_equals_population_mode_on_empirical_joints(self, small_scored):
-        rng = np.random.default_rng(5)
-        target = small_scored.take(rng.integers(0, small_scored.n, size=1500))
-        d = small_scored.schema.d
-        sj = estimate_pmf(small_scored, (*range(1, d + 1), PREDICTION, LABEL))
-        tj = estimate_pmf(target, (*range(1, d + 1), PREDICTION))
-        for s in range(d + 1):
-            cfg = SeesDConfig(sparsity=s)
-            for J in itertools.combinations(range(1, d + 1), s):
-                fit = fit_candidate(small_scored, target, J, cfg)
-                pop = fit_candidate_population(sj, tj, J, cfg)
-                assert fit.distance == pytest.approx(pop.distance, abs=1e-12)
-                assert fit.weights.table.keys() == pop.weights.table.keys()
-                for cell, w in fit.weights.table.items():
-                    assert w == pytest.approx(pop.weights.table[cell], abs=1e-9)
 
     def test_full_kappa_distance_nonnegative_and_zero_on_identity(self, small_scored):
         # 2s >= d forces the single full-feature kappa
         cfg = SeesDConfig(sparsity=2)
-        fit = fit_candidate(small_scored, small_scored, (1, 2), cfg)
+        fit = fit_candidate(*sample_joints(small_scored, small_scored), (1, 2), cfg)
         assert 0.0 <= fit.distance < 1e-18
 
     def test_unseen_cell_is_neutral_and_flagged(self, small_scored):
@@ -215,10 +196,9 @@ class TestSampleMode:
         # source mass, so its weights stay at 1.0 and get flagged
         keep = np.flatnonzero(small_scored.rows[:, 0] == 1)
         source = small_scored.take(keep)
-        fit = fit_candidate(source, small_scored, (1,), SeesDConfig(sparsity=1))
+        fit = fit_candidate(*sample_joints(source, small_scored), (1,), SeesDConfig(sparsity=1))
         assert fit.unconstrained_cells >= 2
-        assert fit.weights.value((2,), 1) == 1.0
-        assert fit.weights.value((2,), 2) == 1.0
+        assert fit.weights[1].tolist() == [1.0, 1.0]
 
     def test_candidate_guard(self):
         cols = tuple(Column(f"c{i}", "discrete", 2) for i in range(1, 51))
@@ -230,7 +210,7 @@ class TestSampleMode:
             predictions=[1, 2, 1, 2],
         )
         with pytest.raises(TooManyCandidates):
-            run_sees_d(ds, ds, SeesDConfig(sparsity=4))
+            run_sees_d(*sample_joints(ds, ds), SeesDConfig(sparsity=4))
 
 
 class TestLabelShiftDegenerate:
@@ -241,10 +221,18 @@ class TestLabelShiftDegenerate:
         target = label_shifted(source, {1: Fraction(1, 5), 2: Fraction(4, 5)})
         sj = population_joint(source, stump(2))
         tj = population_joint(target, stump(2), include_label=False)
-        weight, selected, diag = run_sees_d_population(sj, tj, SeesDConfig(sparsity=0))
+        weight, selected, diag = run_sees_d(sj, tj, SeesDConfig(sparsity=0))
         assert selected == ()
         assert weight.value((), 1) == pytest.approx(0.4, abs=1e-9)
         assert weight.value((), 2) == pytest.approx(1.6, abs=1e-9)
+
+
+def box_ls(A, b, hi):
+    """``_bvls`` on the one block (A, b), with the residual ||A w - b||^2 of
+    the returned w. Returns (w, residual, number of active-set changes)."""
+    w, _, changes = _bvls(A[None], b[None], hi)
+    r = A @ w[0] - b
+    return w[0], float(r @ r), int(changes[0])
 
 
 @st.composite
@@ -276,7 +264,7 @@ class TestBoxLeastSquares:
     @example((np.array([[5e-324, 5e-324, 0.0]]), np.array([0.01]), 1.0))
     def test_matches_bounded_least_squares_oracle(self, problem):
         A, b, hi = problem
-        w, residual, changes = _box_ls(A, b, hi)
+        w, residual, changes = box_ls(A, b, hi)
         assert w.shape == (A.shape[1],)
         assert ((w >= 0.0) & (w <= hi)).all()
         r = A @ w - b
@@ -288,14 +276,14 @@ class TestBoxLeastSquares:
 
     def test_optimum_on_both_bounds(self):
         A = np.eye(3)
-        w, residual, changes = _box_ls(A, np.array([-1.0, 0.5, 30.0]), 20.0)
+        w, residual, changes = box_ls(A, np.array([-1.0, 0.5, 30.0]), 20.0)
         assert w.tolist() == [0.0, 0.5, 20.0]
         assert residual == pytest.approx(101.0)
         assert changes == 2
 
     def test_interior_optimum_takes_no_changes(self):
         A = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        w, residual, changes = _box_ls(A, A @ np.array([2.0, 3.0]), 20.0)
+        w, residual, changes = box_ls(A, A @ np.array([2.0, 3.0]), 20.0)
         assert w == pytest.approx([2.0, 3.0])
         assert residual < 1e-24
         assert changes == 0
@@ -337,7 +325,7 @@ class TestBatchedBoxLeastSquares:
         w, residual, changes = _bvls(A, b, hi)
         assert w.shape == A.shape[::2] and residual.shape == changes.shape == (len(A),)
         for i in range(len(A)):
-            w_i, residual_i, changes_i = _box_ls(A[i], b[i], hi)
+            w_i, residual_i, changes_i = box_ls(A[i], b[i], hi)
             assert changes[i] == changes_i
             tol = 1e-12 * (1.0 + residual_i)
             assert np.abs(w[i] - w_i).max() <= tol
@@ -390,13 +378,12 @@ def reference_fit(source_joint, target_joint, J, cfg):
         feats = (*J, *(k for k in kappa if k not in J))
         p.append(source_joint.marginal((*feats, PREDICTION, LABEL)).mass.reshape(n_blocks, -1, L))
         q.append(target_joint.marginal((*feats, PREDICTION)).mass.reshape(n_blocks, -1))
-    table, distance, unconstrained, iterations = {}, 0.0, 0, 0
+    weights, distance, unconstrained, iterations = np.ones((n_blocks, L)), 0.0, 0, 0
     for blk in range(n_blocks):
-        xj = tuple(int(v) + 1 for v in np.unravel_index(blk, cards_j))
         A, b = np.vstack([m[blk] for m in p]), np.concatenate([m[blk] for m in q])
         keep = (A.max(axis=1) > 0) | (b > 0)
         A_k, b_k = A[keep], b[keep]
-        w = np.ones(L)
+        w = weights[blk]
         live = A_k.sum(axis=0) > 0 if A_k.size else np.zeros(L, dtype=bool)
         unconstrained += int(L - live.sum())
         if live.any():
@@ -406,9 +393,7 @@ def reference_fit(source_joint, target_joint, J, cfg):
             iterations += iters
         else:
             distance += float(b_k @ b_k)
-        for y in range(1, L + 1):
-            table[(xj, y)] = float(w[y - 1])
-    return CandidateFit(index_set=tuple(J), weights=TableWeight(index_set=tuple(J), table=table),
+    return CandidateFit(index_set=tuple(J), weights=weights.reshape(*cards_j, L),
                         distance=distance, unconstrained_cells=unconstrained,
                         solver_iterations=iterations)
 
@@ -421,11 +406,10 @@ def assert_fits_match_reference(source_joint, target_joint, sparsities):
             fit = _fit_blocks(source_joint, target_joint, J, cfg)
             ref = reference_fit(source_joint, target_joint, J, cfg)
             assert fit.index_set == ref.index_set
-            assert list(fit.weights.table) == list(ref.weights.table)
+            assert fit.weights.shape == ref.weights.shape
             assert fit.unconstrained_cells == ref.unconstrained_cells
             assert fit.solver_iterations == ref.solver_iterations
-            for cell, w in ref.weights.table.items():
-                assert abs(fit.weights.table[cell] - w) <= 1e-12
+            assert np.abs(fit.weights - ref.weights).max() <= 1e-12
             assert abs(fit.distance - ref.distance) <= 1e-15
 
 
@@ -508,20 +492,37 @@ def joint_trial_pair():
 @pytest.mark.parametrize("build", [joint_trial_pair, three_label_pair])
 def test_bbse_on_the_pairs_sees_d_joints_matches_its_own_joints(build):
     source, target, _ = build()
-    shared = run_bbse(source, target, Pair(source, target).joints)
-    alone = run_bbse_population(estimate_pmf(source, (PREDICTION, LABEL)),
-                                estimate_pmf(target, (PREDICTION,)))
-    assert shared[0].table == alone[0].table
-    assert shared[1] == alone[1]
-    assert run_bbse(source, target) == alone
+    shared = run_bbse(*Pair(source, target).joints)
+    alone = run_bbse(estimate_pmf(source, (PREDICTION, LABEL)),
+                     estimate_pmf(target, (PREDICTION,)))
+    assert shared == alone
 
 
 def test_three_labels_recover_the_shifted_feature():
     source, target, truth = three_label_pair()
-    weight, selected, diag = run_sees_d(source, target, SeesDConfig(sparsity=1))
+    weight, selected, diag = run_sees_d(*sample_joints(source, target), SeesDConfig(sparsity=1))
     assert selected == (1,)
     assert diag["dd(1)"] < 1e-20
     assert diag["dd(2)"] > 1e-6 and diag["dd(3)"] > 1e-6
     for x1 in (1, 2, 3):
         for y in (1, 2, 3):
             assert weight.value((x1,), y) == pytest.approx(truth[x1 - 1, y - 1], abs=1e-9)
+
+
+def test_one_search_builds_one_table_weight(small_scored, monkeypatch):
+    """Each candidate's weights stay an array; only the winner's become a
+    ``TableWeight``, where building one per candidate would make C(d, s) + 1."""
+    rng = np.random.default_rng(5)
+    joints = sample_joints(small_scored, small_scored.take(rng.integers(0, small_scored.n, 1500)))
+    built, real = [], TableWeight.__post_init__
+
+    def counted(self):
+        built.append(self.index_set)
+        real(self)
+
+    monkeypatch.setattr(TableWeight, "__post_init__", counted)
+    for s in range(small_scored.schema.d + 1):
+        built.clear()
+        weight, selected, diag = run_sees_d(*joints, SeesDConfig(sparsity=s))
+        assert diag["candidates"] == math.comb(small_scored.schema.d, s)
+        assert built == [selected] and weight.index_set == selected

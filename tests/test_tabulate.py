@@ -3,7 +3,7 @@ import pytest
 
 from shiftscope.data import Column, FeatureSchema, TabularDataset
 from shiftscope.errors import MissingAxis, TooFewDistinctValues, ValidationError
-from shiftscope.sees_d import SeesDConfig, run_sees_d
+from shiftscope.sees_d import SeesDConfig, run_sees_d, sample_joints
 from shiftscope.synth import stump, counterexample_fixture, population_joint
 from shiftscope.tabulate import (
     LABEL,
@@ -118,5 +118,5 @@ class TestEstimatePmf:
             joint.mass
         assert joint.marginal((3, LABEL)).mass.sum() == pytest.approx(1.0)
         target = source.take(np.arange(200)).without_labels()
-        weight, selected, diag = run_sees_d(source, target, SeesDConfig(sparsity=1))
+        weight, selected, diag = run_sees_d(*sample_joints(source, target), SeesDConfig(sparsity=1))
         assert len(selected) == 1 and diag["candidates"] == 10.0
