@@ -5,7 +5,9 @@ For each candidate shifted set J of size s, the target marginal over every
 against the reweighted source marginal by box-constrained least squares;
 the candidate attaining the smallest residual wins. For a fixed value of
 x_J the unknowns are the L weights w(x_J, .), so the system decouples into
-tiny per-cell blocks, which one stacked solver fits together.
+tiny per-cell blocks. The blocks of every candidate of a sparsity are fitted
+together: those of one shape are stacked, up to ``STACK_FLOATS`` entries per
+stack, into one call of the batched box solver.
 
 ``run_sees_d`` reads two joints of the one table type, ``EmpiricalPmf``:
 exact ones in population mode, the ``sample_joints`` of two datasets in
@@ -27,6 +29,8 @@ from .tabulate import LABEL, PREDICTION, EmpiricalPmf, estimate_pmf
 from .weights import TableWeight
 
 TIE_TOL = 1e-12
+TINY = np.finfo(float).tiny  # the smallest normal float
+STACK_FLOATS = 2**20  # most entries of A in one stacked ``_bvls`` call
 
 
 @dataclass(frozen=True)
@@ -95,7 +99,12 @@ def _bvls(A: np.ndarray, b: np.ndarray, hi: float) -> tuple[np.ndarray, np.ndarr
             rhs = b[run] - (Ar @ held[..., None])[..., 0]
             # as lstsq does: a QR of [A | rhs], then the minimum-norm solve on R
             qr = np.linalg.qr(np.concatenate([Ar * fr[:, None, :], rhs[..., None]], axis=2), "r")
-            z = np.linalg.pinv(qr[:, :k, :k], rcond) @ qr[:, :k, k:]
+            R = qr[:, :k, :k]
+            # a singular value at or below TINY also counts as zero, so no
+            # kept one has an overflowing reciprocal (the largest singular
+            # value is at least the largest entry)
+            cut = np.maximum(rcond, TINY / np.maximum(np.abs(R).max(axis=(1, 2)), TINY))
+            z = np.linalg.pinv(R, cut) @ qr[:, :k, k:]
             z = np.where(fr, z[..., 0], held)
             out = fr & ((z < 0.0) | (z > hi))
             walk = out.any(axis=1)
@@ -147,41 +156,88 @@ def _check_joints(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf):
         raise ValidationError("source joint must have axes (features..., prediction, label)")
     if target_joint.axes != (*feat, PREDICTION):
         raise ValidationError("target joint must have axes (features..., prediction)")
-    return source_joint, target_joint
 
 
-def _fit_blocks(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf, J,
-                cfg: SeesDConfig) -> CandidateFit:
-    """Fit every x_J block of candidate J in one ``_bvls`` call. Block i
-    stacks the rows of its x_J value from each kappa's marginal, kappa by
-    kappa; a label with no source mass in the block keeps weight 1 and
-    counts as unconstrained."""
+def _candidate_blocks(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf, J, kappas,
+                      dense: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate J's (A, b): block i stacks the rows of the i-th x_J value
+    from each kappa's marginal, kappa by kappa. ``dense`` maps a kappa to its
+    two dense marginals, which every candidate within kappa shares."""
     L = source_joint.cardinalities[-1]
-    cards_j = [source_joint.cardinalities[j - 1] for j in J]
-    n_blocks = math.prod(cards_j)
+    n_blocks = math.prod(source_joint.cardinalities[j - 1] for j in J)
     p, q = [], []
-    for kappa in enumerate_kappas(J, len(source_joint.axes) - 2, cfg.sparsity):
+    for kappa in kappas:
+        if kappa not in dense:
+            dense[kappa] = (source_joint.marginal((*kappa, PREDICTION, LABEL)).mass,
+                            target_joint.marginal((*kappa, PREDICTION)).mass)
+        p_k, q_k = dense[kappa]
         # x_J leads, so each block is one leading index
-        feats = (*J, *(k for k in kappa if k not in J))
-        p.append(source_joint.marginal((*feats, PREDICTION, LABEL)).mass.reshape(n_blocks, -1, L))
-        q.append(target_joint.marginal((*feats, PREDICTION)).mass.reshape(n_blocks, -1))
-    A = np.concatenate(p, axis=1)
-    w, residual, changes = _bvls(A, np.concatenate(q, axis=1), cfg.weight_bound)
-    live = A.sum(axis=1) > 0
+        order = (*(kappa.index(j) for j in J), *(i for i, k in enumerate(kappa) if k not in J))
+        size = len(kappa)
+        p.append(p_k.transpose(*order, size, size + 1).reshape(n_blocks, -1, L))
+        q.append(q_k.transpose(*order, size).reshape(n_blocks, -1))
+    return np.concatenate(p, axis=1), np.concatenate(q, axis=1)
+
+
+def _stacks(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf, candidates, kappas,
+            first_block):
+    """Yield each stack as a list of (A, b, rows) parts: blocks of one shape
+    from consecutive candidates, at most ``STACK_FLOATS`` entries of A (or
+    one block), and each block's position among all candidates' blocks. A
+    candidate may straddle two stacks; kappa marginals live for one stack."""
+    cards = source_joint.cardinalities
+    by_rows: dict[int, list[int]] = {}
+    for c, (J, ks) in enumerate(zip(candidates, kappas)):
+        rows = cards[-2] * sum(math.prod(cards[i - 1] for i in kappa if i not in J) for kappa in ks)
+        by_rows.setdefault(rows, []).append(c)
+    for m, members in by_rows.items():
+        cap = max(1, STACK_FLOATS // (m * cards[-1]))  # blocks per stack
+        parts, dense, filled = [], {}, 0
+        for c in members:
+            A, b = _candidate_blocks(source_joint, target_joint, candidates[c], kappas[c], dense)
+            lo = 0
+            while lo < len(A):
+                take = min(cap - filled, len(A) - lo)
+                parts.append((A[lo:lo + take], b[lo:lo + take],
+                              np.arange(first_block[c] + lo, first_block[c] + lo + take)))
+                lo, filled = lo + take, filled + take
+                if filled == cap:
+                    yield parts
+                    parts, dense, filled = [], {}, 0
+        if parts:
+            yield parts
+
+
+def _fit_candidates(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf, candidates,
+                    cfg: SeesDConfig) -> list[CandidateFit]:
+    """Fit every candidate's x_J blocks, one ``_bvls`` call per stack of
+    equal-shape blocks. A label with no source mass in a block keeps weight 1
+    and counts as unconstrained."""
+    d, L = len(source_joint.axes) - 2, source_joint.cardinalities[-1]
+    kappas = [enumerate_kappas(J, d, cfg.sparsity) for J in candidates]
+    cards_j = [[source_joint.cardinalities[j - 1] for j in J] for J in candidates]
+    first_block = np.cumsum([0, *(math.prod(c) for c in cards_j)])
+    w = np.empty((first_block[-1], L))
+    residual, changes = np.empty(first_block[-1]), np.empty(first_block[-1], dtype=int)
+    live = np.empty((first_block[-1], L), dtype=bool)
+    for parts in _stacks(source_joint, target_joint, candidates, kappas, first_block):
+        A, b, rows = (np.concatenate(x) for x in zip(*parts))
+        w[rows], residual[rows], changes[rows] = _bvls(A, b, cfg.weight_bound)
+        live[rows] = A.sum(axis=1) > 0
     w[~live] = 1.0
-    return CandidateFit(
-        index_set=tuple(J),
-        weights=w.reshape(*cards_j, L),
-        distance=sum(residual.tolist()),
-        unconstrained_cells=int((~live).sum()),
-        solver_iterations=int(changes.sum()),
-    )
+    return [CandidateFit(index_set=tuple(J), weights=w[lo:hi].reshape(*cards, L),
+                         distance=sum(residual[lo:hi].tolist()),
+                         unconstrained_cells=int((~live[lo:hi]).sum()),
+                         solver_iterations=int(changes[lo:hi].sum()))
+            for J, cards, lo, hi in zip(candidates, cards_j, first_block, first_block[1:])]
 
 
 def fit_candidate(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf, J,
                   cfg: SeesDConfig) -> CandidateFit:
-    """Fit the one candidate J on the two joints (``sample_joints``, or exact ones)."""
-    return _fit_blocks(*_check_joints(source_joint, target_joint), tuple(sorted(J)), cfg)
+    """Fit the one candidate J on the two joints (``sample_joints``, or exact
+    ones), by the same stacked fit ``run_sees_d`` makes of every candidate."""
+    _check_joints(source_joint, target_joint)
+    return _fit_candidates(source_joint, target_joint, [tuple(sorted(J))], cfg)[0]
 
 
 def run_sees_d(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf,
@@ -202,8 +258,7 @@ def run_sees_d(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf,
     n_cand = math.comb(d, s)
     if n_cand > 10**5:
         raise TooManyCandidates(f"{n_cand} candidate subsets of size {s} (limit 1e5)")
-    fits = [_fit_blocks(source_joint, target_joint, J, cfg)
-            for J in combinations(range(1, d + 1), s)]
+    fits = _fit_candidates(source_joint, target_joint, list(combinations(range(1, d + 1), s)), cfg)
     best = fits[0]
     for cand in fits[1:]:
         if cand.distance < best.distance - TIE_TOL:

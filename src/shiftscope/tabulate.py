@@ -106,7 +106,7 @@ def distinct_rows(columns) -> tuple[list[tuple], np.ndarray]:
     return list(zip(*(col[firsts].tolist() for col in columns))), inverse
 
 
-def _axis_column(ds: TabularDataset, axis) -> tuple[np.ndarray, int]:
+def axis_codes(ds: TabularDataset, axis) -> tuple[np.ndarray, int]:
     """Resolve one axis to (0-based codes, cardinality)."""
     if axis == PREDICTION:
         if ds.predictions is None:
@@ -128,7 +128,7 @@ def estimate_pmf(ds: TabularDataset, axes) -> EmpiricalPmf:
     axes = tuple(axes)
     if not axes:
         return EmpiricalPmf((), (), cells=np.zeros((0, 1)), weights=[1.0], total=1.0)
-    codes, cards = zip(*(_axis_column(ds, a) for a in axes))
+    codes, cards = zip(*(axis_codes(ds, a) for a in axes))
     if ds.n == 0:
         raise ValidationError("cannot estimate a pmf from an empty dataset")
     firsts, inverse = distinct_first(codes)

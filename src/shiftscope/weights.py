@@ -10,6 +10,7 @@ feature-only baselines, which ignore y by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -18,7 +19,7 @@ import numpy as np
 from .data import FeatureSchema, TabularDataset
 from .errors import ValidationError
 from .predictor import one_hot, predict_probs
-from .tabulate import distinct_rows
+from .tabulate import axis_codes
 
 CLIP_HI = 100.0  # cap on a classifier-ratio weight
 
@@ -53,9 +54,12 @@ def _require_labels(ds: TabularDataset) -> np.ndarray:
 class TableWeight(WeightFunction):
     """Lookup table over (x_J, y) with a neutral fallback for unseen keys.
 
-    ``index_set`` holds sorted 1-based feature indices; keys are
-    ``(x_J value tuple, y)``. Unseen keys evaluate to 1.0 (absent source
-    mass gives no evidence of shift) and are counted by :meth:`fallback_hits`.
+    ``index_set`` holds sorted 1-based feature indices of discrete columns;
+    keys are ``(x_J value tuple, y)``. Rows are evaluated by indexing a dense
+    (*cardinalities of J, L) array filled from the table, so a column with
+    no cardinality raises ``MissingAxis``. Unseen keys evaluate to 1.0
+    (absent source mass gives no evidence of shift) and are counted by
+    :meth:`fallback_hits`; keys outside the schema match no row.
     """
 
     index_set: tuple[int, ...]
@@ -70,23 +74,33 @@ class TableWeight(WeightFunction):
         for (xj, y), w in self.table.items():
             if w < 0:
                 raise ValidationError(f"negative weight for {(xj, y)}: {w}")
+            if len(xj) != len(idx):
+                raise ValidationError(f"key {(xj, y)} does not match index_set {idx}")
             tbl[tuple(int(v) for v in xj), int(y)] = float(w)
         object.__setattr__(self, "table", MappingProxyType(tbl))
 
-    def _cell_lookup(self, ds: TabularDataset) -> tuple[list, np.ndarray]:
-        """Each distinct (x_J, y) key of ``ds`` with its table entry (None
-        if unseen), and each row's position among them."""
-        cols = [ds.column_values(j).astype(int) for j in self.index_set]
-        keys, inverse = distinct_rows([*cols, _require_labels(ds)])
-        return [self.table.get((k[:-1], k[-1])) for k in keys], inverse
+    def _dense(self, ds: TabularDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The table as flat dense values (1.0 at unseen keys) and a flat mask
+        of seen keys, and each row's position in both."""
+        labels = _require_labels(ds)
+        codes, cards = zip(*(axis_codes(ds, j) for j in self.index_set),
+                           (labels - 1, ds.schema.n_labels))
+        keys = np.array([(*xj, y) for xj, y in self.table], dtype=np.intp)
+        keys = keys.reshape(-1, len(cards)) - 1
+        inside = ((keys >= 0) & (keys < cards)).all(axis=1)
+        at = np.ravel_multi_index(tuple(keys[inside].T), cards)
+        values, seen = np.ones(math.prod(cards)), np.zeros(math.prod(cards), dtype=bool)
+        values[at] = np.fromiter(self.table.values(), float, len(self.table))[inside]
+        seen[at] = True
+        return values, seen, np.ravel_multi_index(codes, cards)
 
     def weights_for(self, ds: TabularDataset) -> np.ndarray:
-        found, inverse = self._cell_lookup(ds)
-        return np.array([1.0 if w is None else w for w in found], dtype=float)[inverse]
+        values, _, flat = self._dense(ds)
+        return values[flat]
 
     def fallback_hits(self, ds: TabularDataset) -> int:
-        found, inverse = self._cell_lookup(ds)
-        return int(np.array([w is None for w in found], dtype=bool)[inverse].sum())
+        _, seen, flat = self._dense(ds)
+        return int(np.count_nonzero(~seen[flat]))
 
     def value(self, x_j, y: int) -> float:
         return self.table.get((tuple(int(v) for v in x_j), int(y)), 1.0)

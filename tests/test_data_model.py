@@ -13,7 +13,7 @@ from shiftscope.data import (
     load_schema,
     validate_dataset,
 )
-from shiftscope.errors import SchemaMismatch, ValidationError
+from shiftscope.errors import MissingAxis, SchemaMismatch, ValidationError
 from shiftscope.sees_d import SeesDConfig, run_sees_d, sample_joints
 from shiftscope.weights import TableWeight
 
@@ -158,6 +158,26 @@ class TestTableWeightFallback:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValidationError):
             TableWeight(index_set=(1,), table={((1,), 1): -0.5})
+
+    def test_key_must_match_index_set(self):
+        with pytest.raises(ValidationError, match="does not match index_set"):
+            TableWeight(index_set=(1,), table={((1, 2), 1): 2.0})
+
+    def test_key_outside_schema_matches_no_row(self):
+        w = TableWeight(index_set=(1,), table={((3,), 1): 2.0, ((2,), 1): 3.0})
+        ds = TabularDataset(schema=binary_schema(), rows=[[1, 1], [2, 1]], labels=[1, 1])
+        assert w.weights_for(ds).tolist() == [1.0, 3.0]
+        assert w.fallback_hits(ds) == 1
+
+    def test_continuous_column_is_refused(self):
+        # a float value must not be truncated to a table key
+        schema = FeatureSchema(columns=(Column("c", "discrete", 2), Column("v", "continuous")),
+                               label_cardinality=2)
+        ds = TabularDataset(schema=schema, rows=[[1, 1.7], [2, 1.2]], labels=[1, 2])
+        w = TableWeight(index_set=(2,), table={((1,), 1): 2.0})
+        for evaluate in (w.weights_for, w.fallback_hits):
+            with pytest.raises(MissingAxis, match="'v'.*discretize first"):
+                evaluate(ds)
 
     def test_normalization_hits_unit_mean(self, small_scored):
         # sees-d rescales its winner over the (x_J, y) source marginal

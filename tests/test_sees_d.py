@@ -16,8 +16,9 @@ from shiftscope.bench import run_suite
 from shiftscope.sees_d import (
     CandidateFit,
     SeesDConfig,
+    STACK_FLOATS,
     _bvls,
-    _fit_blocks,
+    _fit_candidates,
     enumerate_kappas,
     fit_candidate,
     run_sees_d,
@@ -259,9 +260,12 @@ def box_problems(draw):
 class TestBoxLeastSquares:
     @settings(max_examples=300, deadline=None)
     @given(box_problems())
-    # subnormal columns whose least-squares solve overflows to inf
+    # subnormal columns, whose singular values count as zero
     @example((np.array([[0.0, 5e-324, 5e-324]]), np.array([0.01]), 1.0))
     @example((np.array([[5e-324, 5e-324, 0.0]]), np.array([0.01]), 1.0))
+    # the first solve walks to w2 = hi; the next one, on the subnormal
+    # column alone, must not end the block at its start
+    @example((np.array([[0.0, 1.0], [2.22507386e-309, 0.0]]), np.array([2.0, 0.0]), 1.0))
     def test_matches_bounded_least_squares_oracle(self, problem):
         A, b, hi = problem
         w, residual, changes = box_ls(A, b, hi)
@@ -317,7 +321,7 @@ def box_stacks(draw):
 class TestBatchedBoxLeastSquares:
     @settings(max_examples=200, deadline=None)
     @given(box_stacks())
-    # the two subnormal blocks whose solve overflows, stacked with an ordinary one
+    # the two subnormal blocks, stacked with an ordinary one
     @example((np.array([[[0.0, 5e-324, 5e-324]], [[5e-324, 5e-324, 0.0]], [[0.5, 0.25, 1.0]]]),
               np.array([[0.01], [0.01], [0.3]]), 1.0))
     def test_each_block_matches_its_solve_alone(self, problem):
@@ -368,7 +372,7 @@ def reference_box_ls(A, b, hi):
 
 
 def reference_fit(source_joint, target_joint, J, cfg):
-    """The per-block fit that ``_fit_blocks`` replaced: one (A, b) system per
+    """The per-block fit that the stacked fit replaced: one (A, b) system per
     x_J cell, its all-zero rows and dead columns dropped, solved alone."""
     L = source_joint.cardinalities[-1]
     cards_j = [source_joint.cardinalities[j - 1] for j in J]
@@ -403,7 +407,7 @@ def assert_fits_match_reference(source_joint, target_joint, sparsities):
     for s in sparsities:
         cfg = SeesDConfig(sparsity=s)
         for J in itertools.combinations(range(1, d + 1), s):
-            fit = _fit_blocks(source_joint, target_joint, J, cfg)
+            fit = fit_candidate(source_joint, target_joint, J, cfg)
             ref = reference_fit(source_joint, target_joint, J, cfg)
             assert fit.index_set == ref.index_set
             assert fit.weights.shape == ref.weights.shape
@@ -436,8 +440,9 @@ class TestBatchedFitMatchesPerBlockFit:
 
 
 def test_sensitivity_suite_solves_blocks_in_batches(tmp_path, monkeypatch):
-    """One sensitivity-suite operation fits 2187 blocks; a per-block solve
-    loop would make at least one linear solve per block."""
+    """One sensitivity-suite operation fits 2187 blocks, all candidates of a
+    sparsity in one ``_bvls`` call; a per-block solve loop would make at
+    least one linear solve per block."""
     import shiftscope.sees_d
     monkeypatch.setenv("SHIFTSCOPE_THREADS", "1")
     blocks, solves = [], []
@@ -455,6 +460,7 @@ def test_sensitivity_suite_solves_blocks_in_batches(tmp_path, monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     run_suite("sensitivity", 1, tmp_path / "sensitivity.csv")
     assert sum(blocks) == 2187
+    assert len(blocks) == 8  # one stack per sparsity
     assert len(solves) < sum(blocks)
 
 
@@ -480,6 +486,97 @@ def three_label_pair():
 
     source, target = dataset(src, True), dataset(tgt, False)
     return source, target, m * source.n / target.n
+
+
+def sensitivity_pair():
+    """The pair one seed of the sensitivity suite runs its eight sparsities on."""
+    from shiftscope.bench import MULTI_AMPS, joint_trial, suite_fixture
+
+    base, model = suite_fixture(7)
+    return joint_trial(base, model, (1, 2, 3), 10000, 0, amp=MULTI_AMPS, n_source=20000)
+
+
+def recording_bvls(monkeypatch):
+    """Patch ``_bvls`` to record the shape of every stack it is handed."""
+    import shiftscope.sees_d
+
+    shapes = []
+
+    def recorded(A, b, hi, _real=_bvls):
+        shapes.append(A.shape)
+        return _real(A, b, hi)
+
+    monkeypatch.setattr(shiftscope.sees_d, "_bvls", recorded)
+    return shapes
+
+
+def assert_same_fit(fit, alone):
+    assert fit.index_set == alone.index_set
+    assert fit.distance == alone.distance
+    assert fit.weights.shape == alone.weights.shape
+    assert (fit.weights == alone.weights).all()
+    assert fit.unconstrained_cells == alone.unconstrained_cells
+    assert fit.solver_iterations == alone.solver_iterations
+
+
+@pytest.mark.parametrize("build, sparsities, shapes_at_1", [
+    (sensitivity_pair, range(8), 1),
+    # x1 has three values, x2 and x3 two: at s = 1 the blocks come in two shapes
+    (three_label_pair, range(4), 2),
+])
+def test_search_matches_one_candidate_at_a_time(build, sparsities, shapes_at_1, monkeypatch):
+    """The stacked search gives every candidate the bits of its fit alone."""
+    source, target, _ = build()
+    joints = sample_joints(source, target)
+    d = source.schema.d
+    for s in sparsities:
+        cfg = SeesDConfig(sparsity=s)
+        candidates = list(itertools.combinations(range(1, d + 1), s))
+        alone = [fit_candidate(*joints, J, cfg) for J in candidates]
+        with monkeypatch.context() as m:
+            shapes = recording_bvls(m)
+            _, selected, diag = run_sees_d(*joints, cfg)
+        assert len(shapes) == len({shape[1:] for shape in shapes})
+        if s == 1:
+            assert len(shapes) == shapes_at_1
+        for J, fit in zip(candidates, alone):
+            assert diag[f"dd({','.join(map(str, J))})"] == fit.distance
+        best = alone[candidates.index(selected)]
+        assert diag["unconstrained_cells"] == best.unconstrained_cells
+        assert diag["solver_iterations"] == best.solver_iterations
+        for fit, one in zip(_fit_candidates(*joints, candidates, cfg), alone):
+            assert_same_fit(fit, one)
+        # stacks of three blocks split candidates across stacks
+        with monkeypatch.context() as m:
+            m.setattr("shiftscope.sees_d.STACK_FLOATS", 3 * max(math.prod(x[1:]) for x in shapes))
+            for fit, one in zip(_fit_candidates(*joints, candidates, cfg), alone):
+                assert_same_fit(fit, one)
+
+
+def test_stacks_stay_within_the_float_budget(monkeypatch):
+    """d = 12 binary features at s = 6: 924 candidates of 64 blocks, about
+    15M floats of A unstacked, fitted in stacks of at most STACK_FLOATS."""
+    rng = np.random.default_rng(3)
+    d, n = 12, 3000
+    schema = FeatureSchema(columns=tuple(Column(f"x{j}", "discrete", 2) for j in range(1, d + 1)),
+                           label_cardinality=2)
+
+    def dataset(labeled):
+        x = rng.integers(1, 3, size=(n, d))
+        y = np.where(rng.random(n) < 0.8, x[:, 0], 3 - x[:, 0])
+        return TabularDataset(schema=schema, rows=x, labels=y if labeled else None,
+                              predictions=1 + (x[:, 0] + x[:, 1]) % 2)
+
+    joints = sample_joints(dataset(True), dataset(False))
+    cfg = SeesDConfig(sparsity=6)
+    candidates = list(itertools.combinations(range(1, d + 1), 6))
+    assert len(candidates) * 64 * 128 * 2 > 14 * STACK_FLOATS
+    shapes = recording_bvls(monkeypatch)
+    fits = _fit_candidates(*joints, candidates, cfg)
+    assert sum(shape[0] for shape in shapes) == len(candidates) * 64
+    assert max(math.prod(shape) for shape in shapes) <= STACK_FLOATS
+    for J, fit in zip(candidates, fits):
+        assert_same_fit(fit, fit_candidate(*joints, J, cfg))
 
 
 def joint_trial_pair():
