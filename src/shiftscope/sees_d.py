@@ -78,18 +78,19 @@ def _bvls(A: np.ndarray, b: np.ndarray, hi: float) -> tuple[np.ndarray, np.ndarr
     others are held at 0 or hi; the first solve frees every coordinate whose
     column is not all zero. A solve that leaves the box steps to the first
     bound it meets and holds that coordinate there. A held coordinate is
-    freed when the gradient points into the box. A block starts at w = 0 and
-    ends when no held coordinate qualifies, or when a pass fails to strictly
-    lower its best residual, which only rounding or an overflowing solve can
-    cause. Each pass makes one stacked solve over the blocks still running,
-    so a block takes the same steps as it would alone, with no tolerance or
-    cap. Returns (w, residual, number of active-set changes) per block.
+    freed when the gradient points into the box. A block starts at w = 0,
+    scores its first solve that stays in the box, and ends when no held
+    coordinate qualifies or a later pass fails to strictly lower its best
+    residual (only rounding or an overflowing solve can do that; a block never
+    scored returns w = 0). Each pass makes one stacked solve over the blocks
+    still running, so a block takes the same steps as it would alone, with no
+    tolerance or cap. Returns (w, residual, active-set changes) per block.
     """
     n, m, k = A.shape
     w = np.zeros((n, k))
     free = (A != 0.0).any(axis=1)
     changes = np.zeros(n, dtype=int)
-    best_w, best_f, best_changes = w.copy(), (b * b).sum(axis=1), changes.copy()
+    best_w, best_f, best_changes = w.copy(), np.full(n, np.inf), changes.copy()
     rcond = max(m, k) * np.finfo(float).eps  # lstsq's default cutoff
     run = np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing solve
@@ -135,7 +136,7 @@ def _bvls(A: np.ndarray, b: np.ndarray, hi: float) -> tuple[np.ndarray, np.ndarr
             changes[run[grow]] += 1
             w[run], free[run] = wr, fr
             run = run[walk | grow]
-    return best_w, best_f, best_changes
+    return best_w, np.where(np.isinf(best_f), (b * b).sum(axis=1), best_f), best_changes
 
 
 def sample_joints(source: TabularDataset, target: TabularDataset):

@@ -2,13 +2,15 @@
 
 Two layers live here: exact rational fixture distributions for population
 oracle tests, and seeded resampling generators that impose a chosen
-(shifted features, label) marginal on a base dataset while preserving the
-conditional distribution of everything else.
+(shifted features, label) marginal on a base dataset, keeping every other
+conditional. Label, joint and covariate shifts share one resampler over the
+dense cells of ``tabulate.cell_index``, so shifted columns must be discrete.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import MappingProxyType
@@ -18,7 +20,7 @@ import numpy as np
 from .data import DISCRETE, Column, FeatureSchema, TabularDataset
 from .errors import EmptyCell, ValidationError
 from .estimator import GroundTruth
-from .tabulate import LABEL, PREDICTION, EmpiricalPmf, distinct_rows
+from .tabulate import LABEL, PREDICTION, EmpiricalPmf, cell_index
 from .weights import TableWeight
 
 
@@ -262,69 +264,65 @@ class ShiftSpec:
 
 
 def _cells(base: TabularDataset, indices, labeled: bool = True):
-    """Distinct ``(x_I value tuple, y)`` cells of ``base`` (``x_I`` tuples
-    when not ``labeled``) in order of first appearance, each cell's share of
-    the rows, and each row's position among the cells."""
-    cols = [base.column_values(j).astype(int) for j in indices]
-    keys, inverse = distinct_rows([*cols, base.labels] if labeled else cols)
-    if labeled:
-        keys = [(k[:-1], k[-1]) for k in keys]
-    return keys, (np.bincount(inverse, minlength=len(keys)) / base.n).tolist(), inverse
+    """The cells of the labeled ``base`` over ``indices`` and the label
+    (``indices`` alone when not ``labeled``) in order of first appearance:
+    their keys, ``(x_I value tuple, y)`` or ``x_I`` tuples, each cell's
+    share of the rows, and each cell's rows in ascending order."""
+    if base.labels is None:
+        raise ValidationError("base dataset needs labels")
+    flat, cards = cell_index(base, (*indices, LABEL) if labeled else tuple(indices))
+    counts = np.bincount(flat, minlength=math.prod(cards))
+    # stable, so each cell's rows stay ascending; a radix sort on a small type
+    order = np.argsort(flat.astype(np.min_scalar_type(counts.size - 1)), kind="stable")
+    present = np.flatnonzero(counts)
+    ends = np.cumsum(counts[present])
+    seen = np.argsort(order[ends - counts[present]])
+    values = zip(*((c + 1).tolist() for c in np.unravel_index(present[seen], cards)))
+    keys = [(k[:-1], k[-1]) for k in values] if labeled else list(values)
+    pools = np.split(order, ends[:-1])
+    return keys, (counts[present[seen]] / base.n).tolist(), [pools[i] for i in seen]
 
 
 def empirical_marginal(base: TabularDataset, indices) -> dict:
     """Empirical (x_I, y) marginal of a labeled dataset."""
-    if base.labels is None:
-        raise ValidationError("base dataset needs labels")
     keys, shares, _ = _cells(base, tuple(indices))
     return dict(zip(keys, shares))
 
 
-def _resample_by_cells(keys: list, inverse: np.ndarray, cells, n: int,
-                       seed: int) -> np.ndarray:
-    """Draw n base-row indices: first a cell from ``cells``, then a uniform
-    row among that cell's members. ``keys`` are the base's cells and
-    ``inverse`` each base row's position among them."""
-    if n == 0:
-        return np.array([], dtype=int)
-    position = {k: i for i, k in enumerate(keys)}
+def _resample(base: TabularDataset, shifted: tuple[int, ...], cells, n: int, seed: int,
+              labeled: bool = True):
+    """Draw ``n`` rows of ``base``, each a cell from the normalized masses
+    ``cells`` (keyed as :func:`_cells` keys) and then a uniform base row in
+    it, so everything else keeps its conditional given the cell; and the
+    truth, each cell's mass over its base share (for every label when not
+    ``labeled``)."""
+    keys, shares, pools = _cells(base, shifted, labeled)
+    pool_of = dict(zip(keys, pools))
     drawn = sorted(k for k, m in cells.items() if m > 0)
     for key in drawn:
-        if key not in position:
+        if key not in pool_of:
             raise EmptyCell(key)
+    table = {key: cells.get(key, 0.0) / share for key, share in zip(keys, shares)}
+    if not labeled:
+        table = {(xv, y): w for xv, w in table.items() for y in range(1, base.schema.n_labels + 1)}
+    truth = GroundTruth(true_weights=TableWeight(index_set=shifted, table=table),
+                        true_shift_set=shifted)
     probs = np.array([cells[k] for k in drawn])
     cum = np.cumsum(probs / probs.sum())
     cum[-1] = 1.0
     rng = np.random.default_rng(seed)
     cell_idx = np.searchsorted(cum, rng.random(n), side="right")
     chosen = np.empty(n, dtype=int)
-    for ci, key in enumerate(drawn):
+    for ci, key in enumerate(drawn):  # a size-0 draw takes nothing from rng
         mask = cell_idx == ci
-        m = int(mask.sum())
-        if m:
-            pool = np.flatnonzero(inverse == position[key])
-            chosen[mask] = pool[rng.integers(0, len(pool), size=m)]
-    return chosen
+        pool = pool_of[key]
+        chosen[mask] = pool[rng.integers(0, pool.size, size=np.count_nonzero(mask))]
+    return base.take(chosen), truth
 
 
 def apply_shift(base: TabularDataset, spec: ShiftSpec, n: int, seed: int):
-    """Resample ``base`` so the (x_I, y) marginal matches ``spec``.
-
-    The conditional of everything else given (x_I, y) is preserved by
-    construction. Truth weights are spec mass over base empirical mass,
-    cellwise.
-    """
-    if base.labels is None:
-        raise ValidationError("apply_shift needs a labeled base")
-    if any(not 1 <= j <= base.schema.d for j in spec.shifted):
-        raise ValidationError("shifted feature index outside schema")
-    keys, shares, inverse = _cells(base, spec.shifted)
-    table = {key: spec.cells.get(key, 0.0) / mass for key, mass in zip(keys, shares)}
-    truth = GroundTruth(
-        true_weights=TableWeight(index_set=spec.shifted, table=table),
-        true_shift_set=spec.shifted,
-    )
-    return base.take(_resample_by_cells(keys, inverse, spec.cells, n, seed)), truth
+    """Resample ``base`` to the (x_I, y) marginal of ``spec``; truth is spec over base mass."""
+    return _resample(base, spec.shifted, spec.cells, n, seed)
 
 
 def pure_label_shift(base: TabularDataset, label_marginal: dict, n: int, seed: int):
@@ -337,29 +335,11 @@ def pure_covariate_shift(base: TabularDataset, feature: int,
                          feature_marginal: dict, n: int, seed: int):
     """Covariate-only shift on one feature: resample by x_I alone, which
     preserves p(y | x_I); truth weights ignore y."""
-    if base.labels is None:
-        raise ValidationError("pure_covariate_shift needs a labeled base")
-    keys, shares, inverse = _cells(base, (feature,), labeled=False)
-    base_marg = dict(zip(keys, shares))
     total = float(sum(feature_marginal.values()))
     if abs(total - 1.0) > 1e-9:
         raise ValidationError(f"feature marginal sums to {total}")
-    cells = {}
-    for v, m in feature_marginal.items():
-        key = (int(v),)
-        if m > 0 and key not in base_marg:
-            raise EmptyCell((key,))
-        cells[key] = float(m) / total
-    table = {
-        (xv, y): cells.get(xv, 0.0) / mass
-        for xv, mass in base_marg.items()
-        for y in range(1, base.schema.n_labels + 1)
-    }
-    truth = GroundTruth(
-        true_weights=TableWeight(index_set=(feature,), table=table),
-        true_shift_set=(feature,),
-    )
-    return base.take(_resample_by_cells(keys, inverse, cells, n, seed)), truth
+    cells = {(int(v),): float(m) / total for v, m in feature_marginal.items()}
+    return _resample(base, (feature,), cells, n, seed, labeled=False)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 :class:`EmpiricalPmf` is the one table type: the distinct cells of a joint
 with their weights. Sample mode is population mode on ``estimate_pmf``
 joints, and only :attr:`EmpiricalPmf.mass` materializes a dense table.
+:func:`cell_index` alone maps discrete rows to dense cells, and every dense
+cell space is bounded by ``MAX_TABLE_CELLS``.
 """
 
 from __future__ import annotations
@@ -60,13 +62,19 @@ class EmpiricalPmf:
     @property
     def mass(self) -> np.ndarray:
         """The dense normalized table, shaped by ``cardinalities``."""
-        n_cells = math.prod(self.cardinalities)
-        if n_cells > MAX_TABLE_CELLS:
-            raise ValidationError(f"refusing to materialize table with {n_cells} cells")
-        flat = (np.ravel_multi_index(tuple(self.cells), self.cardinalities) if self.axes
+        flat = (_ravel(self.cells, self.cardinalities) if self.axes
                 else np.zeros(self.weights.size, dtype=np.intp))
-        counts = np.bincount(flat, weights=self.weights, minlength=n_cells)
+        counts = np.bincount(flat, weights=self.weights, minlength=math.prod(self.cardinalities))
         return (counts / self.total).reshape(self.cardinalities)
+
+
+def _ravel(codes, cards) -> np.ndarray:
+    """Flat C-order cells of one array of 0-based codes per axis; a table of
+    more than ``MAX_TABLE_CELLS`` cells is refused before it is allocated."""
+    n_cells = math.prod(cards)
+    if n_cells > MAX_TABLE_CELLS:
+        raise ValidationError(f"refusing to materialize table with {n_cells} cells")
+    return np.ravel_multi_index(tuple(codes), tuple(cards))
 
 
 def distinct_first(columns) -> tuple[np.ndarray, np.ndarray]:
@@ -97,15 +105,6 @@ def distinct_first(columns) -> tuple[np.ndarray, np.ndarray]:
     return firsts, inverse
 
 
-def distinct_rows(columns) -> tuple[list[tuple], np.ndarray]:
-    """Distinct rows of one or more equal-length columns, as tuples in order
-    of first appearance, and each row's position in that list
-    (:func:`distinct_first` with the keys spelled out)."""
-    columns = [np.asarray(c) for c in columns]
-    firsts, inverse = distinct_first(columns)
-    return list(zip(*(col[firsts].tolist() for col in columns))), inverse
-
-
 def axis_codes(ds: TabularDataset, axis) -> tuple[np.ndarray, int]:
     """Resolve one axis to (0-based codes, cardinality)."""
     if axis == PREDICTION:
@@ -120,6 +119,13 @@ def axis_codes(ds: TabularDataset, axis) -> tuple[np.ndarray, int]:
     if col.kind != DISCRETE:
         raise MissingAxis(f"column {col.name!r} is continuous; discretize first")
     return ds.column_values(int(axis)).astype(int) - 1, col.cardinality
+
+
+def cell_index(ds: TabularDataset, axes) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Each row's flat cell in the dense table over one or more discrete
+    ``axes`` (``MissingAxis`` on a continuous one), and the table's shape."""
+    codes, cards = zip(*(axis_codes(ds, a) for a in axes))
+    return _ravel(codes, cards), cards
 
 
 def estimate_pmf(ds: TabularDataset, axes) -> EmpiricalPmf:

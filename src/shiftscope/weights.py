@@ -10,7 +10,6 @@ feature-only baselines, which ignore y by construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -19,7 +18,7 @@ import numpy as np
 from .data import FeatureSchema, TabularDataset
 from .errors import ValidationError
 from .predictor import one_hot, predict_probs
-from .tabulate import axis_codes
+from .tabulate import LABEL, cell_index
 
 CLIP_HI = 100.0  # cap on a classifier-ratio weight
 
@@ -57,9 +56,10 @@ class TableWeight(WeightFunction):
     ``index_set`` holds sorted 1-based feature indices of discrete columns;
     keys are ``(x_J value tuple, y)``. Rows are evaluated by indexing a dense
     (*cardinalities of J, L) array filled from the table, so a column with
-    no cardinality raises ``MissingAxis``. Unseen keys evaluate to 1.0
-    (absent source mass gives no evidence of shift) and are counted by
-    :meth:`fallback_hits`; keys outside the schema match no row.
+    no cardinality raises ``MissingAxis`` and an array of more than
+    ``MAX_TABLE_CELLS`` cells raises ``ValidationError``. Unseen keys
+    evaluate to 1.0 (absent source mass gives no evidence of shift) and are
+    counted by :meth:`fallback_hits`; keys outside the schema match no row.
     """
 
     index_set: tuple[int, ...]
@@ -82,17 +82,15 @@ class TableWeight(WeightFunction):
     def _dense(self, ds: TabularDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The table as flat dense values (1.0 at unseen keys) and a flat mask
         of seen keys, and each row's position in both."""
-        labels = _require_labels(ds)
-        codes, cards = zip(*(axis_codes(ds, j) for j in self.index_set),
-                           (labels - 1, ds.schema.n_labels))
-        keys = np.array([(*xj, y) for xj, y in self.table], dtype=np.intp)
-        keys = keys.reshape(-1, len(cards)) - 1
+        _require_labels(ds)
+        flat, cards = cell_index(ds, (*self.index_set, LABEL))
+        keys = np.array([(*xj, y) for xj, y in self.table], dtype=int).reshape(-1, len(cards)) - 1
         inside = ((keys >= 0) & (keys < cards)).all(axis=1)
-        at = np.ravel_multi_index(tuple(keys[inside].T), cards)
-        values, seen = np.ones(math.prod(cards)), np.zeros(math.prod(cards), dtype=bool)
+        at = tuple(keys[inside].T)
+        values, seen = np.ones(cards), np.zeros(cards, dtype=bool)
         values[at] = np.fromiter(self.table.values(), float, len(self.table))[inside]
         seen[at] = True
-        return values, seen, np.ravel_multi_index(codes, cards)
+        return values.ravel(), seen.ravel(), flat
 
     def weights_for(self, ds: TabularDataset) -> np.ndarray:
         values, _, flat = self._dense(ds)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import shiftscope.tabulate
 from shiftscope.cli import main
 from shiftscope.data import save_dataset, save_schema
 from shiftscope.synth import (
@@ -108,6 +109,18 @@ class TestSimulate:
         assert err.count("\n") == 1
 
 
+    def test_spec_above_the_cell_bound_is_an_input_error(self, workspace, capsys,
+                                                         monkeypatch):
+        # the spec's (x1, y) space has 4 cells
+        monkeypatch.setattr(shiftscope.tabulate, "MAX_TABLE_CELLS", 3)
+        code = run_simulate(workspace, prefix="too_wide")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("ERROR VALIDATION_ERROR: refusing to materialize table with 4 cells")
+        assert err.count("\n") == 1
+        assert not list(workspace.glob("too_wide.*"))
+
+
 class TestEstimate:
     def estimate(self, root, out, method="sees-d", extra=()):
         return main([
@@ -155,6 +168,24 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"ERROR VALIDATION_ERROR: {bad}: ")
+
+    def test_truth_above_the_cell_bound_is_an_input_error(self, workspace, tmp_path, capsys,
+                                                          monkeypatch):
+        run_simulate(workspace)
+        truth = json.loads((workspace / "sim.truth.json").read_text())
+        truth["shifted_features"] = ["x1", "x2", "x3"]
+        for cell in truth["weights"]:
+            cell["x"] = cell["x"] * 3
+        wide = tmp_path / "wide_truth.json"
+        wide.write_text(json.dumps(truth))
+        # the truth's (x1, x2, x3, y) space has 16 cells, bbse's tables at most 4
+        monkeypatch.setattr(shiftscope.tabulate, "MAX_TABLE_CELLS", 8)
+        code = self.estimate(workspace, tmp_path / "report.json", method="bbse",
+                             extra=("--truth-path", str(wide)))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("ERROR VALIDATION_ERROR: refusing to materialize table with 16 cells")
+        assert err.count("\n") == 1
 
     def test_method_all_emits_one_entry_per_method(self, workspace, tmp_path):
         run_simulate(workspace)

@@ -1,5 +1,9 @@
-"""The package imports only the standard library, numpy and itself at run
-time, matching ``dependencies`` in pyproject.toml; scipy is for tests only."""
+"""Structural guards on the package source.
+
+The package imports only the standard library, numpy and itself at run
+time, matching ``dependencies`` in pyproject.toml; scipy is for tests only.
+Rows and table keys become dense cells in ``tabulate`` alone, under its one
+cell-space bound."""
 
 import ast
 import sys
@@ -25,3 +29,22 @@ def test_runtime_imports_are_stdlib_numpy_or_shiftscope():
         for line, root in imported_roots(ast.parse(path.read_text(encoding="utf-8"))):
             assert root in RUNTIME or root in sys.stdlib_module_names, (
                 f"{path.name}:{line} imports {root}")
+
+
+def referenced_names(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.alias):
+            yield node.lineno, node.name
+
+
+def test_only_tabulate_ravels_cells():
+    files = sorted(SRC.glob("*.py"))
+    assert "tabulate.py" in [path.name for path in files]
+    for path in files:
+        for line, name in referenced_names(ast.parse(path.read_text(encoding="utf-8"))):
+            assert name != "ravel_multi_index" or path.name == "tabulate.py", (
+                f"{path.name}:{line} ravels cells outside tabulate")

@@ -266,6 +266,11 @@ class TestBoxLeastSquares:
     # the first solve walks to w2 = hi; the next one, on the subnormal
     # column alone, must not end the block at its start
     @example((np.array([[0.0, 1.0], [2.22507386e-309, 0.0]]), np.array([2.0, 0.0]), 1.0))
+    # every free solve lands at or below 0 (w2 at -3e-17), so the first
+    # in-box pass is back at w = 0; it must be scored, or the block ends
+    # before the pull test frees w2 (optimum w2 = 0.25, residual 1.25)
+    @example((np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.5, 1.0], [0.0, 1.0, 0.25, 0.0]]),
+              np.array([-1.0, -0.5, 0.25]), 1.0))
     def test_matches_bounded_least_squares_oracle(self, problem):
         A, b, hi = problem
         w, residual, changes = box_ls(A, b, hi)
@@ -328,6 +333,7 @@ class TestBatchedBoxLeastSquares:
         A, b, hi = problem
         w, residual, changes = _bvls(A, b, hi)
         assert w.shape == A.shape[::2] and residual.shape == changes.shape == (len(A),)
+        assert np.isfinite(residual).all()
         for i in range(len(A)):
             w_i, residual_i, changes_i = box_ls(A[i], b[i], hi)
             assert changes[i] == changes_i

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from shiftscope.errors import EmptyCell, ValidationError
+from shiftscope.data import CONTINUOUS, DISCRETE, Column, FeatureSchema, TabularDataset
+from shiftscope.errors import EmptyCell, MissingAxis, ValidationError
 from shiftscope.synth import (
     ShiftSpec,
     apply_shift,
@@ -94,6 +95,16 @@ class TestApplyShift:
         with pytest.raises(EmptyCell):
             apply_shift(mutilated, ShiftSpec(shifted=(1,), cells=cells), 50, seed=0)
 
+    def test_missing_drawn_cell_is_rejected_at_zero_rows(self, small_base):
+        x1, y = small_base.rows[:, 0], small_base.labels
+        mutilated = small_base.take(np.flatnonzero(~((x1 == 1) & (y == 1))))
+        spec = ShiftSpec(shifted=(1,), cells={((1,), 1): 0.5, ((2,), 1): 0.5})
+        with pytest.raises(EmptyCell):
+            apply_shift(mutilated, spec, 0, seed=0)
+        with pytest.raises(EmptyCell):
+            pure_covariate_shift(small_base.take(np.flatnonzero(x1 == 2)), 1,
+                                 {1: 0.5, 2: 0.5}, 0, seed=0)
+
     def test_zero_rows_is_valid(self, small_base):
         spec = ShiftSpec(shifted=(1,), cells=empirical_marginal(small_base, (1,)))
         sample, truth = apply_shift(small_base, spec, 0, seed=0)
@@ -169,3 +180,33 @@ class TestSpecValidation:
         spec = ShiftSpec(shifted=(9,), cells={((1,), 1): 1.0})
         with pytest.raises(ValidationError):
             apply_shift(small_base, spec, 10, seed=0)
+
+
+class TestContinuousShiftedColumn:
+    """A shifted column must have cells: float values are refused, not
+    truncated to integer keys."""
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        rng = np.random.default_rng(3)
+        schema = FeatureSchema(columns=(Column("v", CONTINUOUS), Column("b", DISCRETE, 2)),
+                               label_cardinality=2)
+        rows = np.column_stack([rng.normal(size=200), rng.integers(1, 3, size=200)])
+        return TabularDataset(schema=schema, rows=rows, labels=rng.integers(1, 3, size=200))
+
+    def test_empirical_marginal(self, base):
+        with pytest.raises(MissingAxis):
+            empirical_marginal(base, (1,))
+
+    def test_apply_shift(self, base):
+        spec = ShiftSpec(shifted=(1,), cells={((0,), 1): 0.5, ((0,), 2): 0.5})
+        with pytest.raises(MissingAxis):
+            apply_shift(base, spec, 10, seed=0)
+
+    def test_pure_covariate_shift(self, base):
+        with pytest.raises(MissingAxis):
+            pure_covariate_shift(base, 1, {0: 1.0}, 10, seed=0)
+
+    def test_discrete_column_of_the_same_base_still_shifts(self, base):
+        sample, _ = pure_covariate_shift(base, 2, {1: 0.5, 2: 0.5}, 10, seed=0)
+        assert sample.n == 10
