@@ -10,7 +10,7 @@ from .errors import DegenerateKernel, SingularConfusion, ValidationError
 from .predictor import one_hot, train_logistic
 from .sees_c import kkt_residual, project_feasible, projected_ascent
 from .tabulate import LABEL, PREDICTION, EmpiricalPmf, distinct_first
-from .weights import KernelWeight, ModelRatioWeight, TableWeight, gaussian_kernel, sq_distances
+from .weights import KernelWeight, ModelRatioWeight, TableWeight, distinct_kernel, sq_distances
 
 CONDITION_LIMIT = 1e12
 EPS = 1e-12
@@ -43,48 +43,60 @@ def run_bbse(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf) -> tuple[Ta
     return weight, {"condition_number": cond, "min_class_weight": float(w.min())}
 
 
-def _median_pairwise(x: np.ndarray, limit: int = 1000) -> float:
-    if x.shape[0] > limit:
-        idx = np.unique(np.linspace(0, x.shape[0] - 1, num=limit).round().astype(int))
-        x = x[idx]
+def _median_pairwise(schema: FeatureSchema, rows: np.ndarray, limit: int = 1000) -> float:
+    """Median Euclidean distance between the one-hot encodings of the row
+    pairs of at most ``limit`` evenly spaced ``rows``. Each distinct row is
+    encoded once: a distinct pair's distance counts ``c_i * c_j`` times and
+    each distinct row adds ``c (c - 1) / 2`` zeros, so the median is the one
+    over every pair."""
+    if rows.shape[0] > limit:
+        rows = rows[np.unique(np.linspace(0, rows.shape[0] - 1, num=limit).round().astype(int))]
+    first, inverse = distinct_first(rows.T)
+    counts = np.bincount(inverse)
+    x = one_hot(schema, rows[first])
     iu = np.triu_indices(x.shape[0], k=1)
-    return float(np.median(np.sqrt(sq_distances(x, x)[iu])))
+    dist = np.append(np.sqrt(sq_distances(x, x)[iu]), 0.0)
+    repeats = np.append(counts[iu[0]] * counts[iu[1]], (counts * (counts - 1) // 2).sum())
+    return float(np.median(np.repeat(dist, repeats), overwrite_input=True))
 
 
 def run_kliep(source: TabularDataset, target: TabularDataset, centers: int = 100,
-              max_iters: int = KLIEP_ITERS) -> tuple[KernelWeight, dict]:
+              max_iters: int = KLIEP_ITERS) -> tuple[KernelWeight, dict, np.ndarray]:
     """Gaussian-kernel density-ratio fit of w(x), assuming covariate shift.
 
     Centers sit on evenly spaced target rows; the bandwidth is the median
-    pairwise distance over a bounded subsample of the pooled data. The
-    log-likelihood is fitted by sees-c's ``projected_ascent``, whose accepted
-    objectives never decrease; ``non_convergence`` is 1 when ``max_iters``,
-    not ``KLIEP_TOL``, ended it. ``stationarity`` is the final
-    ``kkt_residual``, the measure sees-c stops on; the ascent does not read it.
+    pairwise distance over a bounded subsample of the pooled data. Both
+    sides enter through their distinct rows, weighted by count, so each
+    kernel has one row per distinct row. The log-likelihood is fitted by
+    sees-c's ``projected_ascent``, whose accepted objectives never decrease;
+    ``non_convergence`` is 1 when ``max_iters``, not ``KLIEP_TOL``, ended
+    it. ``stationarity`` is the final ``kkt_residual``, the measure sees-c
+    stops on; the ascent does not read it. Returns the weight, the
+    diagnostics and the weight's values on ``source`` (``weights_for``'s).
     """
     if max_iters <= 0:
         raise ValidationError("max_iters must be positive")
     schema = source.schema
-    xs, xt = one_hot(schema, source.rows), one_hot(schema, target.rows)
-    sigma = _median_pairwise(np.vstack([xs, xt]))
+    sigma = _median_pairwise(schema, np.vstack([source.rows, target.rows]))
     if sigma <= 0:
         raise DegenerateKernel("median pairwise distance is 0")
     gamma = 1.0 / (2.0 * sigma * sigma)
-    idx = np.unique(np.linspace(0, xt.shape[0] - 1, num=min(centers, xt.shape[0]))
+    idx = np.unique(np.linspace(0, target.n - 1, num=min(centers, target.n))
                     .round().astype(int))
-    ctr = xt[idx]
+    ctr = one_hot(schema, target.rows[idx])
 
-    # the target enters only through its distinct rows, weighted by count
-    first, inverse = distinct_first(target.rows.T)
-    counts = np.bincount(inverse).astype(float)
+    k_t, inverse_t = distinct_kernel(schema, target.rows, ctr, gamma)
+    counts_t = np.bincount(inverse_t).astype(float)
     n_t = target.n
-    k_t = gaussian_kernel(xt[first], ctr, gamma)
-    b = gaussian_kernel(xs, ctr, gamma).mean(axis=0)  # source-mean of each kernel
+    k_s, inverse_s = distinct_kernel(schema, source.rows, ctr, gamma)
+    b = np.bincount(inverse_s).astype(float) @ k_s / source.n  # source mean of each kernel
+    if not b.any():
+        raise DegenerateKernel("no source row reaches any centre")
 
     def value_grad(alpha):
         safe = np.maximum(k_t @ alpha, EPS)
-        value = float((counts * np.log(safe)).sum()) / n_t
-        return value, k_t.T @ (counts / safe) / n_t
+        value = float((counts_t * np.log(safe)).sum()) / n_t
+        return value, k_t.T @ (counts_t / safe) / n_t
 
     alpha, value, iterations, converged = projected_ascent(
         value_grad, b, project_feasible(np.ones(ctr.shape[0]), b), 1.0, KLIEP_TOL, max_iters)
@@ -93,13 +105,15 @@ def run_kliep(source: TabularDataset, target: TabularDataset, centers: int = 100
     diag = {"objective": value, "iterations": float(iterations), "bandwidth": sigma,
             "centers": float(ctr.shape[0]), "non_convergence": 0.0 if converged else 1.0,
             "stationarity": kkt_residual(alpha, value_grad(alpha)[1], b)[0]}
-    return weight, diag
+    return weight, diag, (k_s @ alpha)[inverse_s]
 
 
-def run_dlu(source: TabularDataset, target: TabularDataset) -> tuple[ModelRatioWeight, dict]:
+def run_dlu(source: TabularDataset,
+            target: TabularDataset) -> tuple[ModelRatioWeight, dict, np.ndarray]:
     """Discriminative reweighting: train a source-vs-target classifier on the
     union and convert its probability into a feature-only weight, scaled to
-    source mean 1."""
+    source mean 1. Returns the weight, the diagnostics and the weight's
+    values on ``source``."""
     union_schema = FeatureSchema(
         columns=source.schema.columns,
         label_cardinality=2,
@@ -110,7 +124,8 @@ def run_dlu(source: TabularDataset, target: TabularDataset) -> tuple[ModelRatioW
     union = TabularDataset(schema=union_schema, rows=rows, labels=domain)
     model = train_logistic(union)
     weight = ModelRatioWeight(model, prior_ratio=source.n / max(target.n, 1))
-    mean = float(np.mean(weight.weights_for(source)))
+    raw = weight.weights_for(source)
+    mean = float(np.mean(raw))
     if mean <= 0:
         raise ValidationError("cannot normalize: source mean weight is 0")
     weight = ModelRatioWeight(model, weight.prior_ratio, scale=1.0 / mean)
@@ -119,4 +134,4 @@ def run_dlu(source: TabularDataset, target: TabularDataset) -> tuple[ModelRatioW
         "train_converged": 1.0 if model.converged else 0.0,
         "calibration": 1.0,  # standard probability-ratio construction
     }
-    return weight, diag
+    return weight, diag, weight.scale * raw

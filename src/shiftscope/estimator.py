@@ -130,15 +130,17 @@ def run_method(method: str, pair: Pair, sparsity: int, eta: float = SeesCConfig.
                weight_bound: float = SeesDConfig.weight_bound,
                kliep_iters: int = KLIEP_ITERS) -> ShiftReport:
     """Fit one method's weight on ``pair``, evaluate it once on the source
-    the method read, estimate the gap from those weights, and score them
-    against the pair's truth, if any: weight MSE/PCC and, when the truth has
-    a target accuracy, ``gap_sq_error``. The joints sees-d and bbse read, the
+    the method read (kliep and dlu return those values from their fit),
+    estimate the gap from those weights, and score them against the pair's
+    truth, if any: weight MSE/PCC and, when the truth has a target
+    accuracy, ``gap_sq_error``. The joints sees-d and bbse read, the
     source accuracy and the truth weights are the pair's, computed once.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     raw = method in ("sees-c", "kliep")
     source, target = (pair.source, pair.target) if raw else pair.discretized
+    w = None
     if method == "sees-d":
         cfg = SeesDConfig(sparsity=sparsity, weight_bound=weight_bound)
         weight, _, diag = run_sees_d(*pair.joints, cfg)
@@ -148,10 +150,11 @@ def run_method(method: str, pair: Pair, sparsity: int, eta: float = SeesCConfig.
     elif method == "bbse":
         weight, diag = run_bbse(*pair.joints)
     elif method == "kliep":
-        weight, diag = run_kliep(source, target, max_iters=kliep_iters)
+        weight, diag, w = run_kliep(source, target, max_iters=kliep_iters)
     else:
-        weight, diag = run_dlu(source, target)
-    w = weight.weights_for(source)
+        weight, diag, w = run_dlu(source, target)
+    if w is None:
+        w = weight.weights_for(source)
     delta = estimate_gap(source, w)
     weight_metrics = None
     if pair.truth is not None:

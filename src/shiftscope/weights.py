@@ -1,8 +1,9 @@
 """Importance-weight representations.
 
 A weight function assigns w(x, y) >= 0 to each row of a dataset; the
-estimators return these objects, and the method runner evaluates each one
-once on its source. Lookup-table weights (over a small feature subset and
+estimators return these objects, and each is evaluated once on its source:
+kliep and dlu return those values from their fit, and the method runner
+evaluates the others. Lookup-table weights (over a small feature subset and
 the label) and basis-expansion weights follow the two canonical
 parameterizations; kernel and classifier-ratio weights carry the
 feature-only baselines, which ignore y by construction.
@@ -18,22 +19,34 @@ import numpy as np
 from .data import FeatureSchema, TabularDataset
 from .errors import ValidationError
 from .predictor import one_hot, predict_probs
-from .tabulate import LABEL, cell_index
+from .tabulate import LABEL, cell_index, distinct_first
 
 CLIP_HI = 100.0  # cap on a classifier-ratio weight
 
 
 def sq_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """(n, m) squared Euclidean distances between the rows of ``x`` and of
-    ``centers``, clipped at 0 against rounding."""
-    sq = (x * x).sum(axis=1)[:, None] - 2.0 * x @ centers.T
+    ``centers``, clipped at 0 against rounding, built in one buffer."""
+    sq = x @ centers.T
+    sq *= -2.0
+    sq += (x * x).sum(axis=1)[:, None]
     sq += (centers * centers).sum(axis=1)[None, :]
     return np.maximum(sq, 0.0, out=sq)
 
 
 def gaussian_kernel(x: np.ndarray, centers: np.ndarray, gamma: float) -> np.ndarray:
-    """(n, m) matrix exp(-gamma * ||x_i - c_j||^2)."""
-    return np.exp(-gamma * sq_distances(x, centers))
+    """(n, m) matrix exp(-gamma * ||x_i - c_j||^2), built in one buffer."""
+    k = sq_distances(x, centers)
+    k *= -gamma
+    return np.exp(k, out=k)
+
+
+def distinct_kernel(schema: FeatureSchema, rows: np.ndarray, centers: np.ndarray,
+                    gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Gaussian kernel of each distinct row of ``rows``, one-hot encoded,
+    against ``centers``, and each row's position among the distinct rows."""
+    first, inverse = distinct_first(rows.T)
+    return gaussian_kernel(one_hot(schema, rows[first]), centers, gamma), inverse
 
 
 class WeightFunction:
@@ -139,8 +152,8 @@ class KernelWeight(WeightFunction):
     schema: FeatureSchema  # rows are compared in its one-hot encoding
 
     def weights_for(self, ds: TabularDataset) -> np.ndarray:
-        k = gaussian_kernel(one_hot(self.schema, ds.rows), self.centers, self.gamma)
-        return k @ self.alphas
+        k, inverse = distinct_kernel(self.schema, ds.rows, self.centers, self.gamma)
+        return (k @ self.alphas)[inverse]
 
 
 @dataclass(frozen=True)

@@ -41,5 +41,18 @@ def pmf_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def far_apart_pair():
+    """One continuous column: 200 labeled source rows at 1e3 + N(0, 1) and
+    800 target rows at N(0, 1), so no source row is near a target row."""
+    from shiftscope.data import Column, FeatureSchema, TabularDataset
+
+    schema = FeatureSchema(columns=(Column("v", "continuous"),), label_cardinality=2)
+    rng = np.random.default_rng(0)
+    source = TabularDataset(schema=schema, rows=1e3 + rng.normal(size=(200, 1)),
+                            labels=rng.integers(1, 3, 200))
+    return source, TabularDataset(schema=schema, rows=rng.normal(size=(800, 1)))
+
+
 def make_rng(seed=0):
     return np.random.default_rng(seed)

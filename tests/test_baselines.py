@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shiftscope.baselines import KLIEP_ITERS, run_bbse, run_dlu, run_kliep
+from shiftscope.baselines import KLIEP_ITERS, _median_pairwise, run_bbse, run_dlu, run_kliep
 from shiftscope.errors import DegenerateKernel, SingularConfusion, ValidationError
 from shiftscope.estimator import Pair, score_weights
 from shiftscope.sees_d import SeesDConfig, run_sees_d, sample_joints
@@ -14,7 +14,8 @@ from shiftscope.synth import (
     counterexample_fixture,
 )
 from shiftscope.data import Column, FeatureSchema, TabularDataset
-from shiftscope.tabulate import LABEL, PREDICTION, estimate_pmf
+from shiftscope.predictor import one_hot
+from shiftscope.tabulate import LABEL, PREDICTION, distinct_first, estimate_pmf
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +100,7 @@ class TestBbse:
 
 class TestKliep:
     def test_identical_pair_near_unit(self, small_scored):
-        weight, diag = run_kliep(small_scored, small_scored)
+        weight, diag, _ = run_kliep(small_scored, small_scored)
         vals = weight.weights_for(small_scored)
         assert float(np.sqrt(np.mean((vals - 1.0) ** 2))) < 0.1
 
@@ -115,8 +116,8 @@ class TestKliep:
     def test_iteration_cap_reports_non_convergence(self, small_scored):
         rng = np.random.default_rng(4)
         target = small_scored.take(rng.integers(0, small_scored.n, size=1200))
-        _, capped = run_kliep(small_scored, target, max_iters=3)
-        _, full = run_kliep(small_scored, target)
+        _, capped, _ = run_kliep(small_scored, target, max_iters=3)
+        _, full, _ = run_kliep(small_scored, target)
         assert capped["iterations"] == 3.0 and capped["non_convergence"] == 1.0
         assert full["iterations"] < KLIEP_ITERS and full["non_convergence"] == 0.0
         assert 0.0 < full["stationarity"] < capped["stationarity"]
@@ -155,9 +156,113 @@ class TestKliep:
             run_kliep(ds, ds)
 
 
+    def test_no_source_row_reaching_a_centre_is_a_degenerate_kernel(self, far_apart_pair):
+        # the source sits about 1e3 bandwidths from every target centre, so
+        # every entry of b underflows to 0: the kernel's fault, not the input's
+        source, target = far_apart_pair
+        with pytest.raises(DegenerateKernel, match="no source row reaches any centre"):
+            run_kliep(source, target)
+
+
+def dense_median_pairwise(x, limit=1000):
+    """The median over every pair of the subsample, by one dense distance
+    matrix: the reference for the count-weighted distinct-row median."""
+    if x.shape[0] > limit:
+        x = x[np.unique(np.linspace(0, x.shape[0] - 1, num=limit).round().astype(int))]
+    sq = (x * x).sum(axis=1)[:, None] - 2.0 * x @ x.T
+    sq += (x * x).sum(axis=1)[None, :]
+    iu = np.triu_indices(x.shape[0], k=1)
+    return float(np.median(np.sqrt(np.maximum(sq, 0.0)[iu])))
+
+
+class TestMedianPairwise:
+    @pytest.mark.parametrize("kind,n,limit", [
+        ("discrete", 40, 1000),    # repeated rows, 780 pairs
+        ("discrete", 42, 1000),    # repeated rows, 861 pairs
+        ("mixed", 30, 1000),       # all rows distinct, 435 pairs
+        ("mixed", 32, 1000),       # all rows distinct, 496 pairs
+        ("discrete", 300, 51),     # above the limit, 1275 pairs
+        ("discrete", 3000, 1000),  # above the limit, 499500 pairs
+        ("mixed", 300, 50),        # above the limit, all distinct, 1225 pairs
+        ("clustered", 28, 1000),   # 3 distinct rows, 378 pairs, a third of them equal
+    ])
+    def test_equals_the_dense_median_to_the_bit(self, kind, n, limit):
+        rng = np.random.default_rng(n + limit)
+        columns = [Column("a", "discrete", 2), Column("b", "discrete", 3)]
+        rows = [rng.integers(1, 3, n), rng.integers(1, 4, n)]
+        if kind == "mixed":
+            columns.append(Column("v", "continuous"))
+            rows.append(rng.normal(size=n))
+        if kind == "clustered":
+            # distances 0, sqrt 2 and 2 in proportions 138 : 96 : 144, so the
+            # median is sqrt 2 with the equal pairs and 2 without them
+            rows = rng.permutation(np.repeat([[1, 1], [2, 2], [1, 2]], [12, 12, 4], axis=0)).T
+        schema = FeatureSchema(columns=tuple(columns), label_cardinality=2)
+        rows = np.column_stack(rows).astype(float)
+        distinct = distinct_first(rows.T)[0].size
+        assert distinct == n if kind == "mixed" else distinct < n
+        got = _median_pairwise(schema, rows, limit)
+        assert got > 0.0
+        assert got == dense_median_pairwise(one_hot(schema, rows), limit)
+
+
+def continuous_pair():
+    """Two discrete and two continuous columns, with the target's means moved."""
+    schema = FeatureSchema(
+        columns=(Column("a", "discrete", 2), Column("u", "continuous"),
+                 Column("b", "discrete", 3), Column("v", "continuous")),
+        label_cardinality=2,
+    )
+    rng = np.random.default_rng(9)
+
+    def draw(n, shift, labeled):
+        rows = np.column_stack([rng.integers(1, 3, n), rng.normal(shift, 1.0, n),
+                                rng.integers(1, 4, n), rng.normal(-shift, 2.0, n)])
+        labels = rng.integers(1, 3, n) if labeled else None
+        return TabularDataset(schema=schema, rows=rows, labels=labels)
+
+    return draw(600, 0.0, True), draw(400, 0.5, False)
+
+
+@pytest.mark.parametrize("run", [run_kliep, run_dlu], ids=["kliep", "dlu"])
+@pytest.mark.parametrize("pair", ["discrete", "continuous"])
+def test_returned_source_weights_are_the_weights_on_the_source(run, pair, joint_pair):
+    source, target = joint_pair[:2] if pair == "discrete" else continuous_pair()
+    weight, _, values = run(source, target)
+    assert np.array_equal(values, weight.weights_for(source))
+
+
+def test_kliep_kernels_read_distinct_rows_only(monkeypatch):
+    import sys
+
+    import shiftscope.weights
+    from shiftscope.synth import binary_base
+
+    base = binary_base(7, 30000, 1)
+    source, target = base.take(np.arange(20000)), base.take(np.arange(20000, 30000))
+    pooled = np.vstack([source.rows, target.rows])
+    sample = pooled[np.unique(np.linspace(0, 29999, num=1000).round().astype(int))]
+    bounds = {distinct_first(rows.T)[0].size for rows in (source.rows, target.rows, sample)}
+    assert max(bounds) <= 128
+    seen = []
+    for name in ("gaussian_kernel", "sq_distances"):
+        real = getattr(shiftscope.weights, name)
+
+        def counted(x, *args, _real=real, _name=name):
+            seen.append((_name, x.shape[0]))
+            return _real(x, *args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("shiftscope") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    run_kliep(source, target)
+    assert {name for name, _ in seen} == {"gaussian_kernel", "sq_distances"}
+    assert {rows for _, rows in seen} <= bounds
+
+
 class TestDlu:
     def test_identical_pair_near_unit(self, small_scored):
-        weight, diag = run_dlu(small_scored, small_scored)
+        weight, diag, _ = run_dlu(small_scored, small_scored)
         vals = weight.weights_for(small_scored)
         assert float(np.sqrt(np.mean((vals - 1.0) ** 2))) < 0.1
 
@@ -169,7 +274,7 @@ class TestDlu:
 
     def test_joint_shift_weight_mse_above_sees_d(self, joint_pair):
         source, target, truth = joint_pair
-        dlu_w, _ = run_dlu(source, target)
+        dlu_w, _, _ = run_dlu(source, target)
         sees_w, _, _ = run_sees_d(*sample_joints(source, target), SeesDConfig(sparsity=1))
         ref = truth.true_weights.weights_for(source)
         dlu_mse = score_weights(dlu_w.weights_for(source), ref)["mse"]
@@ -180,8 +285,8 @@ class TestDlu:
 class TestNormalization:
     def test_all_baselines_unit_source_mean(self, joint_pair):
         source, target, _ = joint_pair
-        for weight, _ in (run_bbse(*sample_joints(source, target)),
-                          run_kliep(source, target), run_dlu(source, target)):
+        for weight, *_ in (run_bbse(*sample_joints(source, target)),
+                           run_kliep(source, target), run_dlu(source, target)):
             vals = weight.weights_for(source)
             assert (vals >= 0).all()
             assert abs(float(np.mean(vals)) - 1.0) < 1e-6
@@ -190,5 +295,5 @@ class TestNormalization:
         # kliep's weight is returned as fitted: b . alpha = 1 with b the
         # source mean of each kernel already puts its source mean at 1
         source, target, _ = joint_pair
-        weight, _ = run_kliep(source, target)
+        weight, _, _ = run_kliep(source, target)
         assert abs(float(np.mean(weight.weights_for(source))) - 1.0) < 1e-12

@@ -576,6 +576,34 @@ class TestMixedSchema:
         for r in reports:
             assert -1.0 <= r["delta_hat"] <= 19.0
 
+    @pytest.mark.parametrize("method", ["kliep", "all"])
+    def test_kliep_kernel_missing_the_source_is_an_internal_fault(self, tmp_path, capsys,
+                                                                 far_apart_pair, method):
+        source, target = far_apart_pair
+        save_dataset(source, tmp_path / "src.csv")
+        save_dataset(target, tmp_path / "tgt.csv")
+        save_schema(source.schema, tmp_path / "schema.json")
+        out = tmp_path / "report.json"
+        code = main([
+            "estimate",
+            "--source-path", str(tmp_path / "src.csv"),
+            "--target-path", str(tmp_path / "tgt.csv"),
+            "--schema-path", str(tmp_path / "schema.json"),
+            "--output-path", str(out),
+            "--method", method,
+        ])
+        message = "no source row reaches any centre"
+        if method == "kliep":
+            assert code == 1
+            assert capsys.readouterr().err == f"ERROR DEGENERATE_KERNEL: {message}\n"
+            assert not out.exists()
+            return
+        assert code == 0
+        entries = json.loads(out.read_text())
+        assert [e["method"] for e in entries] == ["sees-d", "sees-c", "bbse", "kliep", "dlu"]
+        assert entries.pop(3) == {"method": "kliep", "error": {
+            "category": "DEGENERATE_KERNEL", "message": message}}
+        assert all(isinstance(e["delta_hat"], float) for e in entries)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_continuous_cell_is_rejected(self, tmp_path, capsys, value):

@@ -276,7 +276,7 @@ def kliep_pair():
 
 def test_kliep_objective_equals_per_row():
     source, target = kliep_pair()
-    weight, diag = run_kliep(source, target, centers=20)
+    weight, diag, _ = run_kliep(source, target, centers=20)
     x = one_hot(target.schema, target.rows)
     per_row = [
         np.log(max(float(np.exp(-weight.gamma * ((xi - weight.centers) ** 2).sum(axis=1))

@@ -190,8 +190,8 @@ class TestScoreGap:
     ("sees-d", {"TableWeight": 2}),  # the fitted table and the truth
     ("sees-c", {"BasisWeight": 1, "TableWeight": 1}),
     ("bbse", {"TableWeight": 2}),
-    ("kliep", {"KernelWeight": 1, "TableWeight": 1}),
-    ("dlu", {"ModelRatioWeight": 2, "TableWeight": 1}),  # one sets its scale
+    ("kliep", {"TableWeight": 1}),  # kliep returns its source weights
+    ("dlu", {"ModelRatioWeight": 1, "TableWeight": 1}),  # the one that sets its scale
 ])
 def test_run_method_evaluates_each_weight_once_on_its_source(method, expected, monkeypatch):
     from shiftscope.bench import joint_trial, suite_fixture
