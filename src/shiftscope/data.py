@@ -17,6 +17,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -199,6 +200,34 @@ class TabularDataset:
             predictions=None if self.predictions is None else self.predictions[idx],
             pred_probs=None if self.pred_probs is None else self.pred_probs[idx],
         )
+
+
+def distinct_first(columns) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct row of one or more equal-length
+    columns, as ascending row indices (so in order of first appearance),
+    and each row's position in that index.
+
+    One stable lexsort groups equal rows; the sorted columns are compared
+    one at a time, so no stacked copy of the rows is made.
+    """
+    columns = [np.asarray(c) for c in columns]
+    n = columns[0].shape[0]
+    if n == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    order = np.lexsort(columns)
+    new = np.zeros(n, dtype=bool)
+    new[0] = True
+    for col in columns:
+        ordered = col[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    # the sort is stable, so each group opens with its first row
+    firsts = order[new]
+    rank = np.empty(firsts.size, dtype=np.intp)
+    rank[np.argsort(firsts)] = np.arange(firsts.size)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = rank[np.cumsum(new) - 1]
+    firsts.sort()
+    return firsts, inverse
 
 
 def validate_dataset(ds: TabularDataset) -> list[str]:
@@ -446,63 +475,124 @@ def _floats(raws) -> np.ndarray | None:
     return vals if np.isfinite(vals).all() else None
 
 
-def _decode_columns(schema, recs, width, positions, label_pos, caches):
-    """Decode records column by column; None if any check fails. ``caches``
+def _decode_fields(schema, field, n, positions, label_pos, caches):
+    """Decode ``n`` records column by column, ``field(p)`` holding the
+    strings of field position ``p``; None if any check fails. ``caches``
     holds one string -> code dict per discrete column and the label, kept
     across chunks."""
-    recs = [rec for rec in recs if rec]
-    if any(len(rec) != width for rec in recs):
-        return None
-    fields = list(zip(*recs)) or [()] * width
-    rows = np.empty((len(recs), schema.d))
+    rows = np.empty((n, schema.d))
     # the line number 0 passed to the decoders is never shown: a failure
     # sends the chunk to _decode_records, which names the real line
     for j, (c, p) in enumerate(zip(schema.columns, positions)):
         if c.kind == DISCRETE:
-            vals = _lookup(caches[j], fields[p], lambda raw: _decode_cell(c, raw, 0), float)
+            vals = _lookup(caches[j], field(p), lambda raw: _decode_cell(c, raw, 0), float)
         else:
-            vals = _floats(fields[p])
+            vals = _floats(field(p))
         if vals is None:
             return None
         rows[:, j] = vals
     if label_pos is None:
         return rows, None
-    labels = _lookup(caches[-1], fields[label_pos],
+    labels = _lookup(caches[-1], field(label_pos),
                      lambda raw: _decode_label(schema, raw, 0), int)
     return None if labels is None else (rows, labels)
 
 
-def _chunks(reader):
-    """Lists of up to CHUNK_ROWS records. An error from the reader itself
-    (bad CSV or bad UTF-8) is raised only after the records read before it
-    are handed out, so a bad cell earlier in the file is still reported
-    first."""
-    chunk = []
-    try:
-        for rec in reader:
-            chunk.append(rec)
-            if len(chunk) == CHUNK_ROWS:
-                yield chunk
-                chunk = []
-    except (csv.Error, UnicodeDecodeError):
+def _decode_columns(schema, recs, width, positions, label_pos, caches):
+    """Decode csv records column by column; None if any check fails."""
+    recs = [rec for rec in recs if rec]
+    if any(len(rec) != width for rec in recs):
+        return None
+    fields = list(zip(*recs)) or [()] * width
+    return _decode_fields(schema, fields.__getitem__, len(recs), positions, label_pos, caches)
+
+
+def _decode_lines(schema, lines, width, positions, label_pos, caches):
+    """Decode physical lines, each distinct line once; None if a line holds
+    a quote, has other than ``width - 1`` commas or is longer than the csv
+    field limit, or if any cell fails to decode.
+
+    Such a line is one csv record whose fields lie between its commas, so
+    the distinct lines are split in one pass. The last field keeps the
+    line ending, which every decoder strips; a blank line is no record to
+    csv, and here it has the wrong width or an empty cell.
+    """
+    distinct = dict.fromkeys(lines)
+    joined = ",".join(distinct)
+    if ('"' in joined or max(map(len, distinct), default=0) > csv.field_size_limit()
+            or set(map(str.count, distinct, repeat(","))) - {width - 1}):
+        return None
+    flat = joined.split(",") if distinct else []
+    block = _decode_fields(schema, lambda p: flat[p::width], len(distinct),
+                           positions, label_pos, caches)
+    if block is None or len(distinct) == len(lines):
+        return block
+    for k, line in enumerate(distinct):
+        distinct[line] = k
+    inverse = np.fromiter(map(distinct.__getitem__, lines), np.intp, len(lines))
+    rows, labels = block
+    return rows[inverse], None if labels is None else labels[inverse]
+
+
+def _chunks(items):
+    """Lists of up to CHUNK_ROWS lines or records. An error from the file or
+    the csv reader (bad UTF-8 or bad CSV) is raised only after the items
+    read before it are handed out, so a bad cell earlier in the file is
+    still reported first: ``list.extend`` keeps the items it read before
+    the error."""
+    items = iter(items)
+    while True:
+        chunk = []
+        try:
+            chunk.extend(islice(items, CHUNK_ROWS))
+        except (csv.Error, UnicodeDecodeError):
+            yield chunk
+            raise
         yield chunk
-        raise
-    yield chunk
+        if len(chunk) < CHUNK_ROWS:
+            return
+
+
+def _blocks(schema, fh, layout, caches):
+    """(rows, labels) blocks of the data lines left in ``fh``, in file order.
+
+    Chunks of lines go through :func:`_decode_lines` until one fails it;
+    from that chunk on the csv reader parses records (a quoted one may span
+    lines and chunks), each chunk decoded column by column and, if that
+    fails, row by row, so the error names the first bad line.
+    """
+    lines, start = _chunks(fh), 2
+    for chunk in lines:
+        block = _decode_lines(schema, chunk, *layout, caches)
+        if block is None:
+            break
+        yield block
+        start += len(chunk)
+    else:
+        return
+    try:
+        for recs in _chunks(csv.reader(chain(chunk, chain.from_iterable(lines)))):
+            yield (_decode_columns(schema, recs, *layout, caches)
+                   or _decode_records(schema, recs, start, *layout))
+            start += len(recs)
+    except csv.Error as exc:
+        raise MalformedRow(start, str(exc)) from None
 
 
 def load_dataset(path, schema: FeatureSchema) -> TabularDataset:
     """Read a CSV against ``schema``; the label column may be absent.
 
-    Records are decoded column by column in chunks of CHUNK_ROWS, each
-    distinct category string once. A chunk that fails any check is decoded
-    again row by row, so the error names the first bad line.
+    Lines are read in chunks of CHUNK_ROWS, each distinct line parsed and
+    decoded once and each distinct category string decoded once; see
+    :func:`_blocks`. A csv error exits as MalformedRow naming its record.
     """
     with open_input(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ValidationError(f"{path}: empty file")
+        except csv.Error as exc:
+            raise MalformedRow(1, str(exc)) from None
         header = [h.strip() for h in header]
         for i, name in enumerate(header):
             if name in header[:i]:
@@ -514,17 +604,16 @@ def load_dataset(path, schema: FeatureSchema) -> TabularDataset:
             positions.append(header.index(c.name))
         label_pos = header.index(schema.label_name) if schema.label_name in header else None
         layout = (len(header), positions, label_pos)
-        caches = [{} for _ in range(schema.d + 1)]
-        blocks, start = [], 2
-        for chunk in _chunks(reader):
-            blocks.append(_decode_columns(schema, chunk, *layout, caches)
-                          or _decode_records(schema, chunk, start, *layout))
-            start += len(chunk)
+        blocks = list(_blocks(schema, fh, layout, [{} for _ in range(schema.d + 1)]))
     return TabularDataset(
         schema=schema,
         rows=np.concatenate([rows for rows, _ in blocks]),
         labels=None if label_pos is None else np.concatenate([lab for _, lab in blocks]),
     )
+
+
+class _Lines(list):
+    write = list.append  # so csv.writer appends one formatted row per item
 
 
 def save_dataset(ds: TabularDataset, path, include_labels: bool = True) -> None:
@@ -534,7 +623,9 @@ def save_dataset(ds: TabularDataset, path, include_labels: bool = True) -> None:
     discrete codes are written through the category dictionary. A code
     outside its column's range, or a continuous value that is not finite
     (``load_dataset`` refuses one), raises ValidationError before anything is
-    written. Rows go out column by column in chunks of CHUNK_ROWS.
+    written. Rows go out in chunks of CHUNK_ROWS: the rows of a chunk that
+    are equal in every bit (so ``0.0`` and ``-0.0`` differ) are formatted
+    once, column by column, and the chunk is written as one string.
     """
     schema = ds.schema
     labels = ds.labels if include_labels else None
@@ -548,16 +639,18 @@ def save_dataset(ds: TabularDataset, path, include_labels: bool = True) -> None:
         names.append([encode_code(k, schema.label_categories)
                       for k in range(1, schema.label_cardinality + 1)])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
         header = [c.name for c in schema.columns]
         if labels is not None:
             header.append(schema.label_name)
-        writer.writerow(header)
+        csv.writer(fh).writerow(header)
         for lo in range(0, ds.n, CHUNK_ROWS):
             block = ds.rows[lo:lo + CHUNK_ROWS]
             if labels is not None:
                 block = np.column_stack([block, labels[lo:lo + CHUNK_ROWS]])
+            firsts, inverse = distinct_first(block.view(np.int64).T)
             cols = [map(repr, col.tolist()) if cats is None else
                     map(cats.__getitem__, (col.astype(int) - 1).tolist())
-                    for col, cats in zip(block.T, names)]
-            writer.writerows(zip(*cols))
+                    for col, cats in zip(block[firsts].T, names)]
+            formatted = _Lines()
+            csv.writer(formatted).writerows(zip(*cols))
+            fh.write("".join(map(formatted.__getitem__, inverse.tolist())))

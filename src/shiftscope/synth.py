@@ -290,13 +290,14 @@ def empirical_marginal(base: TabularDataset, indices) -> dict:
 
 
 def _resample(base: TabularDataset, shifted: tuple[int, ...], cells, n: int, seed: int,
-              labeled: bool = True):
+              labeled: bool = True, keyed=None):
     """Draw ``n`` rows of ``base``, each a cell from the normalized masses
     ``cells`` (keyed as :func:`_cells` keys) and then a uniform base row in
     it, so everything else keeps its conditional given the cell; and the
     truth, each cell's mass over its base share (for every label when not
-    ``labeled``)."""
-    keys, shares, pools = _cells(base, shifted, labeled)
+    ``labeled``). ``keyed`` is the base's :func:`_cells`, when the caller
+    already has it."""
+    keys, shares, pools = keyed or _cells(base, shifted, labeled)
     pool_of = dict(zip(keys, pools))
     drawn = sorted(k for k, m in cells.items() if m > 0)
     for key in drawn:
@@ -320,9 +321,11 @@ def _resample(base: TabularDataset, shifted: tuple[int, ...], cells, n: int, see
     return base.take(chosen), truth
 
 
-def apply_shift(base: TabularDataset, spec: ShiftSpec, n: int, seed: int):
-    """Resample ``base`` to the (x_I, y) marginal of ``spec``; truth is spec over base mass."""
-    return _resample(base, spec.shifted, spec.cells, n, seed)
+def apply_shift(base: TabularDataset, spec: ShiftSpec, n: int, seed: int, keyed=None):
+    """Resample ``base`` to the (x_I, y) marginal of ``spec``; truth is spec
+    over base mass. ``keyed`` is ``base``'s :func:`_cells` over ``spec``'s
+    axes, when the caller already has it."""
+    return _resample(base, spec.shifted, spec.cells, n, seed, keyed=keyed)
 
 
 def pure_label_shift(base: TabularDataset, label_marginal: dict, n: int, seed: int):
@@ -332,14 +335,15 @@ def pure_label_shift(base: TabularDataset, label_marginal: dict, n: int, seed: i
 
 
 def pure_covariate_shift(base: TabularDataset, feature: int,
-                         feature_marginal: dict, n: int, seed: int):
+                         feature_marginal: dict, n: int, seed: int, keyed=None):
     """Covariate-only shift on one feature: resample by x_I alone, which
-    preserves p(y | x_I); truth weights ignore y."""
+    preserves p(y | x_I); truth weights ignore y. ``keyed`` is as for
+    :func:`apply_shift`, over the feature alone."""
     total = float(sum(feature_marginal.values()))
     if abs(total - 1.0) > 1e-9:
         raise ValidationError(f"feature marginal sums to {total}")
     cells = {(int(v),): float(m) / total for v, m in feature_marginal.items()}
-    return _resample(base, (feature,), cells, n, seed, labeled=False)
+    return _resample(base, (feature,), cells, n, seed, labeled=False, keyed=keyed)
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +420,10 @@ def draw_pair(base: TabularDataset, spec: ShiftSpec, n_source: int, n_target: in
     under exact |I|-sparse joint shift with the returned truth weights.
     """
     s1, s2 = _child_seeds(seed, 2)
-    identity = ShiftSpec(shifted=spec.shifted, cells=empirical_marginal(base, spec.shifted))
-    source, _ = apply_shift(base, identity, n_source, s1)
-    target, truth = apply_shift(base, spec, n_target, s2)
+    keyed = _cells(base, spec.shifted)  # the base's own marginal, and both draws' pools
+    identity = ShiftSpec(shifted=spec.shifted, cells=dict(zip(*keyed[:2])))
+    source, _ = apply_shift(base, identity, n_source, s1, keyed)
+    target, truth = apply_shift(base, spec, n_target, s2, keyed)
     return source, target, truth
 
 
@@ -456,10 +461,11 @@ def covariate_pair(base: TabularDataset, model, feature: int,
     """Like shifted_pair but moving a single feature's marginal only, which
     keeps p(y | x) fixed across the pair."""
     s1, s2 = _child_seeds(seed, 2)
-    keys, shares, _ = _cells(base, (feature,), labeled=False)
-    base_marg = {v: m for (v,), m in zip(keys, shares)}
-    source, _ = pure_covariate_shift(base, feature, base_marg, n_source, s1)
-    target, truth = pure_covariate_shift(base, feature, target_feature_marginal, n_target, s2)
+    keyed = _cells(base, (feature,), labeled=False)
+    base_marg = {v: m for (v,), m in zip(*keyed[:2])}
+    source, _ = pure_covariate_shift(base, feature, base_marg, n_source, s1, keyed)
+    target, truth = pure_covariate_shift(base, feature, target_feature_marginal, n_target, s2,
+                                         keyed)
     return _scored_pair(model, source, target, truth)
 
 

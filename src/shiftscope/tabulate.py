@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CONTINUOUS, DISCRETE, Column, FeatureSchema, TabularDataset, check_columns
+from .data import (CONTINUOUS, DISCRETE, Column, FeatureSchema, TabularDataset, check_columns,
+                   distinct_first)
 from .errors import MissingAxis, TooFewDistinctValues, ValidationError
 
 PREDICTION = "prediction"
@@ -75,34 +76,6 @@ def _ravel(codes, cards) -> np.ndarray:
     if n_cells > MAX_TABLE_CELLS:
         raise ValidationError(f"refusing to materialize table with {n_cells} cells")
     return np.ravel_multi_index(tuple(codes), tuple(cards))
-
-
-def distinct_first(columns) -> tuple[np.ndarray, np.ndarray]:
-    """The first row of each distinct row of one or more equal-length
-    columns, as ascending row indices (so in order of first appearance),
-    and each row's position in that index.
-
-    One stable lexsort groups equal rows; the sorted columns are compared
-    one at a time, so no stacked copy of the rows is made.
-    """
-    columns = [np.asarray(c) for c in columns]
-    n = columns[0].shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    order = np.lexsort(columns)
-    new = np.zeros(n, dtype=bool)
-    new[0] = True
-    for col in columns:
-        ordered = col[order]
-        new[1:] |= ordered[1:] != ordered[:-1]
-    # the sort is stable, so each group opens with its first row
-    firsts = order[new]
-    rank = np.empty(firsts.size, dtype=np.intp)
-    rank[np.argsort(firsts)] = np.arange(firsts.size)
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[order] = rank[np.cumsum(new) - 1]
-    firsts.sort()
-    return firsts, inverse
 
 
 def axis_codes(ds: TabularDataset, axis) -> tuple[np.ndarray, int]:

@@ -508,6 +508,28 @@ def test_duplicate_header_column_is_rejected(workspace, tmp_path, capsys, name):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("line", [1, 6], ids=["header", "body"])
+def test_field_over_the_csv_limit_is_a_malformed_row(workspace, tmp_path, capsys, line):
+    """The csv reader's own error exits 2 naming the record, like a bad cell."""
+    run_simulate(workspace)
+    lines = (workspace / "sim.source.csv").read_text().splitlines()
+    lines[line - 1] = ",".join(lines[line - 1].split(",")[:-1] + ["9" * 140_000])
+    bad = tmp_path / "source.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    code = main([
+        "estimate",
+        "--source-path", str(bad),
+        "--target-path", str(workspace / "sim.target.csv"),
+        "--schema-path", str(workspace / "schema.json"),
+        "--output-path", str(tmp_path / "report.json"),
+        "--method", "bbse",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"ERROR MALFORMED_ROW: line {line}: field larger than field limit (131072)\n")
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("method,empty", [
     ("sees-c", "target"),
     ("all", "target"),

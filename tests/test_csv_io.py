@@ -99,7 +99,9 @@ def outcome(load, path, schema):
 # ---------------------------------------------------------------------------
 # Generated files.
 
-CATS = ("a", "bb", "c c", "d,d")  # a space and a comma inside names
+# a space, a comma, and a quote with a line break inside names: a record
+# holding the last spans two lines, and so chunk boundaries
+CATS = ("a", "bb", "c c", "d,d", 'e"\ne')
 FAULTS = ("unknown", "empty", "blank", "nan", "inf", "text", "bad_label", "width")
 
 
@@ -108,12 +110,12 @@ def schemas(draw):
     cols = []
     for j in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(("named", "codes", "continuous")))
-        k = draw(st.integers(2, 4))
+        k = draw(st.integers(2, 5))
         if kind == "continuous":
             cols.append(Column(f"x{j}", "continuous"))
         else:
             cols.append(Column(f"x{j}", "discrete", k, CATS[:k] if kind == "named" else None))
-    L = draw(st.integers(2, 4))
+    L = draw(st.integers(2, 5))
     label_cats = draw(st.sampled_from((None, CATS[:L])))
     return FeatureSchema(columns=tuple(cols), label_cardinality=L, label_categories=label_cats)
 
@@ -153,7 +155,9 @@ def _cell_fault(draw, kind, col):
 
 @st.composite
 def csv_files(draw):
-    """(schema, file text, chunk size): a valid table with up to three faults."""
+    """(schema, file text, chunk size): a valid table with up to three
+    faults, half the time with its records drawn from a pool of up to three
+    so that lines repeat."""
     schema = draw(schemas())
     names = [c.name for c in schema.columns]
     if draw(st.booleans()):
@@ -184,6 +188,9 @@ def csv_files(draw):
         bad = _cell_fault(draw, kind, schema.columns[j])
         if bad is not None and len(recs[i]) == len(header):
             recs[i][header.index(schema.columns[j].name)] = bad
+    if n and draw(st.booleans()):
+        pool = recs[:draw(st.integers(1, 3))]
+        recs = [draw(st.sampled_from(pool)) for _ in range(n)]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
@@ -264,6 +271,74 @@ def test_bad_cell_wins_over_a_later_reader_error(tmp_path, tail):
     assert got == want == (MalformedRow, "line 6: missing value in column 'v'")
 
 
+@pytest.mark.parametrize("bad", [0, data.CHUNK_ROWS + 50], ids=["header", "second-chunk"])
+def test_field_over_the_csv_limit_names_its_record(tmp_path, bad):
+    lines = _lines(2 * data.CHUNK_ROWS + 100)
+    lines[bad] = "c,v," + "9" * (csv.field_size_limit() + 1)
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert outcome(load_dataset, path, SCHEMA) == (
+        MalformedRow, f"line {bad + 1}: field larger than field limit "
+                      f"({csv.field_size_limit()})")
+
+
+@pytest.fixture
+def small_field_limit():
+    old = csv.field_size_limit(40)
+    yield
+    csv.field_size_limit(old)
+
+
+def test_quote_free_line_over_the_field_limit_takes_the_record_path(tmp_path,
+                                                                    small_field_limit):
+    """A line longer than the limit whose fields are all within it: the
+    line split cannot know, so the chunk goes to the csv reader."""
+    lines = _lines(30)
+    lines[12] = "lo," + "1" * 33 + ".5,neg"  # 42 characters, no field over 40
+    with mock.patch.object(data, "_decode_columns", wraps=data._decode_columns) as records:
+        got, want = _load_both(tmp_path, lines)
+    assert got == want and got[0] == (30, 2)
+    assert records.call_count == 1
+
+
+def test_quoted_field_reads_as_its_csv_value(tmp_path):
+    """``"a"`` is the category a to csv, not the category named with quotes."""
+    schema = FeatureSchema(columns=(Column("c", "discrete", 2, ("a", '"a"')),),
+                           label_cardinality=2)
+    path = tmp_path / "quoted.csv"
+    path.write_text('c\n"a"\na\n', encoding="utf-8")
+    got = outcome(load_dataset, path, schema)
+    assert got == outcome(reference_load, path, schema)
+    assert got[1] == np.array([1.0, 1.0]).tobytes()
+
+
+def test_each_chunk_decodes_only_its_distinct_lines(tmp_path):
+    """30,000 lines with at most 144 distinct ones (five named columns and
+    a label): no column of a chunk decodes more strings than the chunk has
+    distinct lines."""
+    rng = np.random.default_rng(5)
+    cats = (("north", "south", "east"), ("young", "mid", "old"),
+            ("no", "yes"), ("no", "yes"), ("no", "yes"))
+    schema = FeatureSchema(
+        columns=tuple(Column(f"f{j}", "discrete", len(c), c) for j, c in enumerate(cats)),
+        label_cardinality=2, label_name="outcome", label_categories=("neg", "pos"))
+    rows = np.column_stack([rng.integers(1, len(c) + 1, 30000) for c in cats])
+    ds = TabularDataset(schema=schema, rows=rows, labels=rng.integers(1, 3, 30000))
+    save_dataset(ds, tmp_path / "base.csv")
+    lines = (tmp_path / "base.csv").read_text(encoding="utf-8").splitlines()[1:]
+    distinct = [len(set(lines[lo:lo + data.CHUNK_ROWS]))
+                for lo in range(0, len(lines), data.CHUNK_ROWS)]
+    assert max(distinct) <= 144
+    with mock.patch.object(data, "_lookup", wraps=data._lookup) as lookup:
+        back = load_dataset(tmp_path / "base.csv", schema)
+    assert np.array_equal(back.rows, ds.rows) and np.array_equal(back.labels, ds.labels)
+    sizes = [len(call.args[1]) for call in lookup.call_args_list]
+    per_chunk = [sizes[i:i + schema.d + 1] for i in range(0, len(sizes), schema.d + 1)]
+    assert len(per_chunk) == len(distinct)
+    for k, chunk in zip(distinct, per_chunk):
+        assert max(chunk) <= k
+
+
 def test_number_wrapped_in_separators_is_read_as_before(tmp_path):
     lines = _lines(20)
     lines[7] = "hi,\x1c2.5\x1f,pos"  # str.strip removes these, float does not
@@ -330,6 +405,18 @@ def test_writer_matches_per_row_reference(tmp_path_factory, ds, include_labels, 
     assert (root / "new.csv").read_bytes() == (root / "ref.csv").read_bytes()
     back = load_dataset(root / "new.csv", ds.schema)
     assert back.rows.tobytes() == ds.rows.tobytes()
+
+
+def test_writer_keeps_zero_and_negative_zero_apart(tmp_path):
+    """Rows equal but for the sign of a zero are formatted apart."""
+    schema = FeatureSchema(columns=(Column("v", "continuous"), Column("c", "discrete", 2)),
+                           label_cardinality=2)
+    ds = TabularDataset(schema=schema, rows=[[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]],
+                        labels=[1, 1, 1, 1])
+    save_dataset(ds, tmp_path / "new.csv")
+    reference_save(ds, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "new.csv").read_text().splitlines()[1:] == ["0.0,1,1", "-0.0,1,1"] * 2
 
 
 @pytest.mark.parametrize("rows,labels,finding", [

@@ -167,6 +167,35 @@ class TestPureShifts:
         assert abs(np.mean(truth2.true_weights.weights_for(small_base)) - 1) < 1e-9
 
 
+@pytest.mark.parametrize("draw", ["joint", "covariate"])
+def test_a_drawn_pair_keys_its_base_once(small_base, small_model, monkeypatch, draw):
+    """One keying of the base serves the source marginal and both draws;
+    a joint pair still makes its two ``apply_shift`` calls."""
+    import shiftscope.synth as synth
+
+    calls = {"_cells": 0, "apply_shift": []}
+    real_cells, real_apply = synth._cells, synth.apply_shift
+
+    def cells(*args, **kwargs):
+        calls["_cells"] += 1
+        return real_cells(*args, **kwargs)
+
+    def apply(base, spec, n, seed, keyed=None):
+        calls["apply_shift"].append(n)
+        return real_apply(base, spec, n, seed, keyed)
+
+    monkeypatch.setattr(synth, "_cells", cells)
+    monkeypatch.setattr(synth, "apply_shift", apply)
+    if draw == "joint":
+        marg = empirical_marginal(small_base, (1,))
+        calls["_cells"] = 0
+        synth.shifted_pair(small_base, small_model, (1,), marg, 300, 200, seed=3)
+        assert calls["apply_shift"] == [300, 200]
+    else:
+        synth.covariate_pair(small_base, small_model, 1, {1: 0.3, 2: 0.7}, 300, 200, seed=3)
+    assert calls["_cells"] == 1
+
+
 class TestSpecValidation:
     def test_marginal_must_sum_to_one(self):
         with pytest.raises(ValidationError):
