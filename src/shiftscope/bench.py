@@ -14,15 +14,7 @@ from functools import lru_cache
 
 from .estimator import Pair, run_method
 from .predictor import train_logistic
-from .synth import (
-    binary_base,
-    boosted_marginal,
-    correlation_boost,
-    covariate_pair,
-    empirical_marginal,
-    label_boost,
-    shifted_pair,
-)
+from .synth import binary_base, boosted_pair, correlation_boost, covariate_pair, label_boost
 
 TRADEOFF_SIZES = (2500, 5000, 10000, 20000, 40000)
 SPARSITY_LEVELS = (0, 1, 2, 3)
@@ -66,16 +58,13 @@ def evaluate_method(method: str, pair: Pair, sparsity: int) -> dict:
 
 def joint_trial(base, model, shifted, n: int, seed: int, amp: float = JOINT_AMP,
                 n_source: int | None = None):
-    marginal = boosted_marginal(
-        empirical_marginal(base, shifted), correlation_boost(shifted, amp)
-    )
-    return shifted_pair(base, model, shifted, marginal, n_source or n, n, seed)
+    return boosted_pair(base, model, shifted, correlation_boost(shifted, amp), n_source or n,
+                        n, seed)
 
 
 def label_trial(base, model, n: int, seed: int, amp: float = LABEL_AMP,
                 n_source: int | None = None):
-    marginal = boosted_marginal(empirical_marginal(base, ()), label_boost(amp))
-    return shifted_pair(base, model, (), marginal, n_source or n, n, seed)
+    return boosted_pair(base, model, (), label_boost(amp), n_source or n, n, seed)
 
 
 def covariate_trial(base, model, feature: int, n: int, seed: int,

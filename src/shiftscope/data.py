@@ -202,32 +202,67 @@ class TabularDataset:
         )
 
 
+def _offsets(col: np.ndarray, bound: int) -> tuple[np.ndarray, int] | None:
+    """``col`` as int64 offsets from its least value, and its span; None
+    unless it holds only integers (floats too, ``-0.0`` as 0) over a span
+    of at most ``bound``. Spans are Python ints, so int64 bit views of
+    floats cannot overflow them."""
+    with np.errstate(invalid="ignore"):  # NaN, inf and big floats fail the check below
+        v = col.astype(np.int64)
+    if col.dtype.kind == "f" and not (v == col).all():
+        return None
+    lo, hi = int(v.min()), int(v.max())
+    if hi - lo >= bound:
+        return None
+    v -= lo
+    return v, hi - lo + 1
+
+
 def distinct_first(columns) -> tuple[np.ndarray, np.ndarray]:
     """The first row of each distinct row of one or more equal-length
     columns, as ascending row indices (so in order of first appearance),
-    and each row's position in that index.
+    and each row's position in that index. Rows are equal when every
+    column is equal under ``==``, so ``-0.0`` equals ``0.0`` and a row with
+    a NaN equals no row.
 
-    One stable lexsort groups equal rows; the sorted columns are compared
-    one at a time, so no stacked copy of the rows is made.
+    Each column of integers (or integral floats) over a span of at most
+    4n folds into one int64 code by mixed radix, as long as the code's
+    range stays within 4n. If some column does not fold, one lexsort runs
+    over those columns with the code as its first key, and the runs of
+    equal sorted rows number the code anew. Rows are then grouped by counting on
+    the code, with no sort.
     """
     columns = [np.asarray(c) for c in columns]
     n = columns[0].shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    order = np.lexsort(columns)
-    new = np.zeros(n, dtype=bool)
-    new[0] = True
+    bound = 4 * n
+    code, size, rest = np.zeros(n, dtype=np.int64), 1, []
     for col in columns:
-        ordered = col[order]
-        new[1:] |= ordered[1:] != ordered[:-1]
-    # the sort is stable, so each group opens with its first row
-    firsts = order[new]
-    rank = np.empty(firsts.size, dtype=np.intp)
-    rank[np.argsort(firsts)] = np.arange(firsts.size)
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[order] = rank[np.cumsum(new) - 1]
-    firsts.sort()
-    return firsts, inverse
+        folded = _offsets(col, bound)
+        if folded is None or size * folded[1] > bound:
+            rest.append(col)
+            continue
+        v, span = folded
+        code *= span
+        code += v
+        size *= span
+    if rest:  # the sorted runs of equal rows become the code
+        keys = [*rest, code] if size > 1 else rest
+        order = np.lexsort(keys)
+        new = np.zeros(n, dtype=bool)
+        for key in keys:
+            ordered = key[order]
+            new[1:] |= ordered[1:] != ordered[:-1]
+        code[order] = np.cumsum(new)
+        size = int(code[order[-1]]) + 1
+    first = np.full(size, n, dtype=np.intp)
+    np.minimum.at(first, code, np.arange(n))
+    new = np.zeros(n, dtype=bool)
+    new[first[first < n]] = True
+    firsts = np.flatnonzero(new)
+    first[code[firsts]] = np.arange(firsts.size)  # now each code's rank
+    return firsts, first[code]
 
 
 def validate_dataset(ds: TabularDataset) -> list[str]:
@@ -624,8 +659,9 @@ def save_dataset(ds: TabularDataset, path, include_labels: bool = True) -> None:
     outside its column's range, or a continuous value that is not finite
     (``load_dataset`` refuses one), raises ValidationError before anything is
     written. Rows go out in chunks of CHUNK_ROWS: the rows of a chunk that
-    are equal in every bit (so ``0.0`` and ``-0.0`` differ) are formatted
-    once, column by column, and the chunk is written as one string.
+    are equal in every code and in every bit of every continuous value (so
+    ``0.0`` and ``-0.0`` differ) are formatted once, column by column, and
+    the chunk is written as one string.
     """
     schema = ds.schema
     labels = ds.labels if include_labels else None
@@ -647,7 +683,9 @@ def save_dataset(ds: TabularDataset, path, include_labels: bool = True) -> None:
             block = ds.rows[lo:lo + CHUNK_ROWS]
             if labels is not None:
                 block = np.column_stack([block, labels[lo:lo + CHUNK_ROWS]])
-            firsts, inverse = distinct_first(block.view(np.int64).T)
+            # codes key by value, continuous values by bits: -0.0 prints apart from 0.0
+            firsts, inverse = distinct_first([bits if cats is None else col for col, bits, cats
+                                              in zip(block.T, block.view(np.int64).T, names)])
             cols = [map(repr, col.tolist()) if cats is None else
                     map(cats.__getitem__, (col.astype(int) - 1).tolist())
                     for col, cats in zip(block[firsts].T, names)]

@@ -412,15 +412,16 @@ def _child_seeds(seed: int, k: int) -> list[int]:
 
 
 def draw_pair(base: TabularDataset, spec: ShiftSpec, n_source: int, n_target: int,
-              seed: int):
+              seed: int, keyed=None):
     """Draw a labeled (source, target) pair from one base under ``spec``.
 
     The source is a plain resample (the base's own (x_I, y) marginal), the
     target follows ``spec``; both keep the base conditionals, so the pair is
     under exact |I|-sparse joint shift with the returned truth weights.
+    ``keyed`` is as for :func:`apply_shift`.
     """
     s1, s2 = _child_seeds(seed, 2)
-    keyed = _cells(base, spec.shifted)  # the base's own marginal, and both draws' pools
+    keyed = keyed or _cells(base, spec.shifted)  # the base's own marginal, and both draws' pools
     identity = ShiftSpec(shifted=spec.shifted, cells=dict(zip(*keyed[:2])))
     source, _ = apply_shift(base, identity, n_source, s1, keyed)
     target, truth = apply_shift(base, spec, n_target, s2, keyed)
@@ -453,6 +454,20 @@ def shifted_pair(base: TabularDataset, model, shifted: tuple[int, ...],
     """
     spec = ShiftSpec(shifted=shifted, cells=target_marginal)
     return _scored_pair(model, *draw_pair(base, spec, n_source, n_target, seed))
+
+
+def boosted_pair(base: TabularDataset, model, shifted: tuple[int, ...], boost,
+                 n_source: int, n_target: int, seed: int):
+    """:func:`shifted_pair` under the base's own (x_I, y) marginal reweighted
+    by ``boost`` (see :func:`boosted_marginal`); the base is keyed once, for
+    that marginal and for both draws. ``shifted`` must be ascending, the
+    order the cells are keyed in and ``boost`` reads them in."""
+    shifted = tuple(shifted)
+    if list(shifted) != sorted(shifted):
+        raise ValidationError(f"shifted features {shifted} must be ascending")
+    keyed = _cells(base, shifted)
+    spec = ShiftSpec(shifted, boosted_marginal(dict(zip(*keyed[:2])), boost))
+    return _scored_pair(model, *draw_pair(base, spec, n_source, n_target, seed, keyed))
 
 
 def covariate_pair(base: TabularDataset, model, feature: int,

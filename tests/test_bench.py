@@ -4,6 +4,7 @@ import pytest
 
 from shiftscope import bench
 from shiftscope.bench import _suite_cells, evaluate_method, suite_fixture
+from shiftscope.errors import ValidationError
 
 
 class TestSuiteLayout:
@@ -40,6 +41,35 @@ class TestEvaluateMethod:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             evaluate_method("magic", None, 1)
+
+
+@pytest.mark.parametrize("trial", [
+    lambda base, model: bench.joint_trial(base, model, (1, 2), 500, 0, amp=(1.5, 1.2)),
+    lambda base, model: bench.label_trial(base, model, 500, 0),
+], ids=["joint", "label"])
+def test_a_trial_keys_its_base_once(monkeypatch, trial):
+    """The boosted target marginal and both draws read one keying of the base."""
+    import shiftscope.synth as synth
+
+    calls = []
+    real_cells = synth._cells
+
+    def cells(*args, **kwargs):
+        calls.append(args[1:])
+        return real_cells(*args, **kwargs)
+
+    base, model = suite_fixture(6)
+    monkeypatch.setattr(synth, "_cells", cells)
+    trial(base, model)
+    assert len(calls) == 1
+
+
+def test_a_joint_trial_refuses_features_out_of_order():
+    """Each amplitude belongs to the feature in its place, and the cells are
+    keyed in ascending feature order, so an unsorted set is refused."""
+    base, model = suite_fixture(6)
+    with pytest.raises(ValidationError, match="ascending"):
+        bench.joint_trial(base, model, (2, 1), 500, 0, amp=(1.5, 1.2))
 
 
 class TestSensitivityPairs:

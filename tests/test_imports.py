@@ -3,7 +3,8 @@
 The package imports only the standard library, numpy and itself at run
 time, matching ``dependencies`` in pyproject.toml; scipy is for tests only.
 Rows and table keys become dense cells in ``tabulate`` alone, under its one
-cell-space bound."""
+cell-space bound, and rows are keyed by sorting in ``data.distinct_first``
+alone."""
 
 import ast
 import sys
@@ -41,10 +42,18 @@ def referenced_names(tree: ast.AST):
             yield node.lineno, node.name
 
 
-def test_only_tabulate_ravels_cells():
+def assert_only_referenced_in(target: str, owner: str) -> None:
     files = sorted(SRC.glob("*.py"))
-    assert "tabulate.py" in [path.name for path in files]
+    assert owner in [path.name for path in files]
     for path in files:
         for line, name in referenced_names(ast.parse(path.read_text(encoding="utf-8"))):
-            assert name != "ravel_multi_index" or path.name == "tabulate.py", (
-                f"{path.name}:{line} ravels cells outside tabulate")
+            assert name != target or path.name == owner, (
+                f"{path.name}:{line} references {target} outside {owner}")
+
+
+def test_only_tabulate_ravels_cells():
+    assert_only_referenced_in("ravel_multi_index", "tabulate.py")
+
+
+def test_only_data_keys_rows_by_sorting():
+    assert_only_referenced_in("lexsort", "data.py")
