@@ -8,14 +8,12 @@ import numpy as np
 from .data import FeatureSchema, TabularDataset
 from .errors import DegenerateKernel, SingularConfusion, ValidationError
 from .predictor import one_hot, train_logistic
-from .sees_c import kkt_residual, project_feasible, projected_ascent
-from .tabulate import LABEL, PREDICTION, EmpiricalPmf, distinct_first
-from .weights import KernelWeight, ModelRatioWeight, TableWeight, distinct_kernel, sq_distances
+from .sees_c import KKT_TOL, SeesCConfig, _newton_ascent, _Problem
+from .tabulate import LABEL, PREDICTION, EmpiricalPmf
+from .weights import (KernelWeight, ModelRatioWeight, TableWeight, distinct_one_hot,
+                      gaussian_kernel, sq_distances)
 
 CONDITION_LIMIT = 1e12
-EPS = 1e-12
-KLIEP_ITERS = 2500
-KLIEP_TOL = 1e-7  # one step's objective gain below this ends the ascent
 
 
 def run_bbse(source_joint: EmpiricalPmf, target_joint: EmpiricalPmf) -> tuple[TableWeight, dict]:
@@ -51,31 +49,27 @@ def _median_pairwise(schema: FeatureSchema, rows: np.ndarray, limit: int = 1000)
     over every pair."""
     if rows.shape[0] > limit:
         rows = rows[np.unique(np.linspace(0, rows.shape[0] - 1, num=limit).round().astype(int))]
-    first, inverse = distinct_first(rows.T)
+    x, inverse = distinct_one_hot(schema, rows)
     counts = np.bincount(inverse)
-    x = one_hot(schema, rows[first])
     iu = np.triu_indices(x.shape[0], k=1)
     dist = np.append(np.sqrt(sq_distances(x, x)[iu]), 0.0)
     repeats = np.append(counts[iu[0]] * counts[iu[1]], (counts * (counts - 1) // 2).sum())
     return float(np.median(np.repeat(dist, repeats), overwrite_input=True))
 
 
-def run_kliep(source: TabularDataset, target: TabularDataset, centers: int = 100,
-              max_iters: int = KLIEP_ITERS) -> tuple[KernelWeight, dict, np.ndarray]:
+def run_kliep(source: TabularDataset, target: TabularDataset,
+              centers: int = 100) -> tuple[KernelWeight, dict, np.ndarray]:
     """Gaussian-kernel density-ratio fit of w(x), assuming covariate shift.
 
     Centers sit on evenly spaced target rows; the bandwidth is the median
     pairwise distance over a bounded subsample of the pooled data. Both
     sides enter through their distinct rows, weighted by count, so each
-    kernel has one row per distinct row. The log-likelihood is fitted by
-    sees-c's ``projected_ascent``, whose accepted objectives never decrease;
-    ``non_convergence`` is 1 when ``max_iters``, not ``KLIEP_TOL``, ended
-    it. ``stationarity`` is the final ``kkt_residual``, the measure sees-c
-    stops on; the ascent does not read it. Returns the weight, the
-    diagnostics and the weight's values on ``source`` (``weights_for``'s).
+    kernel has one column or row per distinct row. The log-likelihood is
+    fitted by sees-c's ``_newton_ascent`` at eta 0 under the unit source
+    mean, and ``stationarity`` and ``non_convergence`` read as sees-c's do.
+    Returns the weight, which keeps only the centres with positive alpha,
+    the diagnostics and the weight's values on ``source`` (``weights_for``'s).
     """
-    if max_iters <= 0:
-        raise ValidationError("max_iters must be positive")
     schema = source.schema
     sigma = _median_pairwise(schema, np.vstack([source.rows, target.rows]))
     if sigma <= 0:
@@ -85,27 +79,21 @@ def run_kliep(source: TabularDataset, target: TabularDataset, centers: int = 100
                     .round().astype(int))
     ctr = one_hot(schema, target.rows[idx])
 
-    k_t, inverse_t = distinct_kernel(schema, target.rows, ctr, gamma)
-    counts_t = np.bincount(inverse_t).astype(float)
-    n_t = target.n
-    k_s, inverse_s = distinct_kernel(schema, source.rows, ctr, gamma)
-    b = np.bincount(inverse_s).astype(float) @ k_s / source.n  # source mean of each kernel
+    x_s, inverse_s = distinct_one_hot(schema, source.rows)
+    # the constraint b . alpha = 1 is the unit source mean of the weight
+    b = np.bincount(inverse_s).astype(float) @ gaussian_kernel(x_s, ctr, gamma) / source.n
     if not b.any():
         raise DegenerateKernel("no source row reaches any centre")
-
-    def value_grad(alpha):
-        safe = np.maximum(k_t @ alpha, EPS)
-        value = float((counts_t * np.log(safe)).sum()) / n_t
-        return value, k_t.T @ (counts_t / safe) / n_t
-
-    alpha, value, iterations, converged = projected_ascent(
-        value_grad, b, project_feasible(np.ones(ctr.shape[0]), b), 1.0, KLIEP_TOL, max_iters)
-    # the constraint b . alpha = 1 is the unit source mean of the weight
-    weight = KernelWeight(centers=ctr, alphas=alpha, gamma=gamma, schema=schema)
+    x_t, inverse_t = distinct_one_hot(schema, target.rows)
+    problem = _Problem(gaussian_kernel(ctr, x_t, gamma), np.bincount(inverse_t).astype(float), b)
+    alpha, value, stationarity, iterations = _newton_ascent(problem, SeesCConfig(eta=0.0))
+    nz = np.flatnonzero(alpha)
+    weight = KernelWeight(centers=ctr[nz], alphas=alpha[nz], gamma=gamma, schema=schema)
     diag = {"objective": value, "iterations": float(iterations), "bandwidth": sigma,
-            "centers": float(ctr.shape[0]), "non_convergence": 0.0 if converged else 1.0,
-            "stationarity": kkt_residual(alpha, value_grad(alpha)[1], b)[0]}
-    return weight, diag, (k_s @ alpha)[inverse_s]
+            "centers": float(ctr.shape[0]),
+            "non_convergence": 1.0 if stationarity > KKT_TOL else 0.0,
+            "stationarity": stationarity}
+    return weight, diag, (gaussian_kernel(x_s, weight.centers, gamma) @ weight.alphas)[inverse_s]
 
 
 def run_dlu(source: TabularDataset,

@@ -16,7 +16,6 @@ import os
 import sys
 
 from . import bench
-from .baselines import KLIEP_ITERS
 from .data import (
     DISCRETE,
     FeatureSchema,
@@ -56,7 +55,9 @@ def _load_cells(path, schema: FeatureSchema, cells_key: str, value_key: str, bui
     try:
         with open_input(path) as fh:
             raw = json.load(fh)
-        shifted = tuple(sorted(_decode_feature(schema, f) for f in raw["shifted_features"]))
+        given = [_decode_feature(schema, f) for f in raw["shifted_features"]]
+        order = sorted(range(len(given)), key=given.__getitem__)
+        shifted = tuple(given[i] for i in order)
         cols = [schema.column(j) for j in shifted]
         for c in cols:
             if c.kind != DISCRETE:
@@ -66,7 +67,9 @@ def _load_cells(path, schema: FeatureSchema, cells_key: str, value_key: str, bui
             xs = cell.get("x", [])
             if len(xs) != len(cols):
                 raise ValueError(f"cell x {xs!r} does not match {len(cols)} shifted features")
-            xv = tuple(decode_code(v, c.categories, c.cardinality) for c, v in zip(cols, xs))
+            # each cell lists x in the file's feature order; keys take the sorted one
+            xv = tuple(decode_code(xs[i], c.categories, c.cardinality)
+                       for i, c in zip(order, cols))
             y = decode_code(cell["y"], schema.label_categories, schema.label_cardinality)
             cells[(xv, y)] = float(cell[value_key])
         return build(raw, shifted, cells)
@@ -150,7 +153,7 @@ def cmd_estimate(args: argparse.Namespace) -> None:
     if not 0 <= args.sparsity <= schema.d:
         raise ValidationError(f"--sparsity must lie in 0..{schema.d} (the feature count)")
     _check_at_least(("--eta", args.eta, 0), ("--weight-bound", args.weight_bound, 1),
-                    ("--kliep-iters", args.kliep_iters, 1), ("--bins", args.bins, 2))
+                    ("--bins", args.bins, 2))
     _check_output_path(args.output_path, "--output-path")
     source = load_dataset(args.source_path, schema)
     target = load_dataset(args.target_path, schema)
@@ -186,8 +189,8 @@ def cmd_estimate(args: argparse.Namespace) -> None:
     entries, errors = [], []
     for m in methods:
         try:
-            entries.append(run_method(m, pair, args.sparsity, args.eta, args.weight_bound,
-                                      args.kliep_iters).to_dict())
+            entries.append(run_method(m, pair, args.sparsity, args.eta,
+                                      args.weight_bound).to_dict())
         except ShiftScopeError as exc:
             errors.append(exc)
             entries.append({"method": m,
@@ -244,7 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--eta", type=float, default=SeesCConfig.eta)
     est.add_argument("--bins", type=int, default=5)
     est.add_argument("--weight-bound", type=float, default=SeesDConfig.weight_bound)
-    est.add_argument("--kliep-iters", type=int, default=KLIEP_ITERS)
     est.add_argument("--predictions-path", default=None,
                      help="external predictions: SOURCE_CSV,TARGET_CSV")
     est.add_argument("--truth-path", default=None,

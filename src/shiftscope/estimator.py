@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .baselines import KLIEP_ITERS, run_bbse, run_dlu, run_kliep
+from .baselines import run_bbse, run_dlu, run_kliep
 from .data import ShiftReport, TabularDataset
 from .errors import MissingTruth, ValidationError
 from .sees_c import SeesCConfig, default_basis, feature_scores, run_sees_c
@@ -127,8 +127,7 @@ class Pair:
 
 
 def run_method(method: str, pair: Pair, sparsity: int, eta: float = SeesCConfig.eta,
-               weight_bound: float = SeesDConfig.weight_bound,
-               kliep_iters: int = KLIEP_ITERS) -> ShiftReport:
+               weight_bound: float = SeesDConfig.weight_bound) -> ShiftReport:
     """Fit one method's weight on ``pair``, evaluate it once on the source
     the method read (kliep and dlu return those values from their fit),
     estimate the gap from those weights, and score them against the pair's
@@ -150,7 +149,7 @@ def run_method(method: str, pair: Pair, sparsity: int, eta: float = SeesCConfig.
     elif method == "bbse":
         weight, diag = run_bbse(*pair.joints)
     elif method == "kliep":
-        weight, diag, w = run_kliep(source, target, max_iters=kliep_iters)
+        weight, diag, w = run_kliep(source, target)
     else:
         weight, diag, w = run_dlu(source, target)
     if w is None:

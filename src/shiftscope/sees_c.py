@@ -78,6 +78,8 @@ def default_basis(schema: FeatureSchema, reference: TabularDataset | None = None
 
 KKT_TOL = 1e-9  # the Newton loop stops once the KKT residual is at most this
 PROB_FLOOR = 1e-8  # floor on the target likelihood surrogate inside the log
+DAMPING = 0.1  # the Newton system's damping, a multiple of the free set's largest |r|
+ARC_HALVINGS = 20  # halvings of the projected arc before the ratio-test step
 
 
 @dataclass(frozen=True)
@@ -106,53 +108,40 @@ def feature_scores(a: np.ndarray, basis: BasisSet) -> np.ndarray:
 
 
 class _Problem:
-    """Precomputed matrices for one (source, target, basis) triple."""
+    """Maximize sum_i counts_i log((M' a)_i) / n - eta sum_g |a_g| over the
+    flat coefficients {a >= 0, c . a = 1}, n = sum(counts), the likelihood
+    floored at ``PROB_FLOOR``. ``design`` is M stored coefficient-major,
+    (P, m), one column per distinct target row, and never copied whole:
+    products read only the rows of the nonzero (or free) entries of ``a``.
+    ``groups`` are index arrays into ``a``."""
 
-    def __init__(self, source: TabularDataset, target: TabularDataset, basis: BasisSet):
-        if target.pred_probs is None or source.pred_probs is None:
-            raise ValidationError("both datasets need pred_probs")
-        if source.labels is None:
-            raise ValidationError("source needs labels")
-        L = source.schema.n_labels
-        self.L = L
-        self.groups = basis.groups()
-        # the target enters only through its distinct (row, probabilities)
-        # pairs, weighted by count; equal rows may carry external
-        # predictions that differ
-        first, inverse = distinct_first([*target.rows.T, *target.pred_probs.T])
-        self.counts = np.bincount(inverse).astype(float)
-        self.phi_t = basis.design(target.rows[first])  # (m, K)
-        self.pt = target.pred_probs[first]  # (m, L)
-        self.n_t = target.n
-        # linear constraint: sum_{k,y} a[k,y] * c[k,y] = 1
-        c = np.zeros((basis.size, L))
-        for y in range(1, L + 1):
-            mask = source.labels == y
-            if mask.any():
-                c[:, y - 1] = basis.design(source.rows[mask]).sum(axis=0)
-        self.constraint = c / source.n
+    def __init__(self, design: np.ndarray, counts: np.ndarray, constraint: np.ndarray,
+                 groups=()):
+        self.design = design
+        self.counts = counts
+        self.n = float(counts.sum())
+        self.constraint = constraint
+        self.groups = groups
 
     def _inner(self, a: np.ndarray) -> np.ndarray:
-        inner = np.zeros(self.counts.size)
-        for y in range(self.L):
-            inner += self.pt[:, y] * (self.phi_t @ a[:, y])
-        return inner
+        nz = np.flatnonzero(a)
+        return a[nz] @ self.design[nz]
+
+    def _weights(self, inner: np.ndarray, power: int) -> np.ndarray:
+        """counts / inner**power / n, and 0 where the floor holds."""
+        return np.where(inner < PROB_FLOOR, 0.0,
+                        self.counts / np.maximum(inner, PROB_FLOOR) ** power) / self.n
 
     def value_grad(self, a: np.ndarray, cfg: SeesCConfig):
         inner = self._inner(a)
-        floored = inner < PROB_FLOOR
-        safe = np.maximum(inner, PROB_FLOOR)
-        value = float((self.counts * np.log(safe)).sum()) / self.n_t
-        coef = np.where(floored, 0.0, self.counts / safe) / self.n_t
-        grad = np.empty_like(a)
-        for y in range(self.L):
-            grad[:, y] = self.phi_t.T @ (coef * self.pt[:, y])
+        value = float((self.counts * np.log(np.maximum(inner, PROB_FLOOR))).sum()) / self.n
+        grad = self.design @ self._weights(inner, 1)
         if cfg.eta > 0:
             norms = _group_norms(a, self.groups)
             value -= cfg.eta * float(norms.sum())
-            for i, g in enumerate(self.groups):
-                if norms[i] > 0:
-                    grad[g] -= cfg.eta * a[g] / norms[i]
+            for g, norm in zip(self.groups, norms):
+                if norm > 0:
+                    grad[g] -= cfg.eta * a[g] / norm
         return value, grad
 
     def gain(self, a: np.ndarray, b: np.ndarray, cfg: SeesCConfig) -> float:
@@ -163,7 +152,7 @@ class _Problem:
         after = np.maximum(self._inner(b), PROB_FLOOR)
         exact = (before > PROB_FLOOR) & (after > PROB_FLOOR)
         change = np.where(exact, self._inner(b - a), after - before)
-        gain = float((self.counts * np.log1p(change / before)).sum()) / self.n_t
+        gain = float((self.counts * np.log1p(change / before)).sum()) / self.n
         if cfg.eta > 0:
             norms = _group_norms(a, self.groups) + _group_norms(b, self.groups)
             for g, norm in zip(self.groups, norms):
@@ -171,81 +160,46 @@ class _Problem:
                     gain -= cfg.eta * float(((b[g] - a[g]) * (b[g] + a[g])).sum()) / norm
         return gain
 
-    def hessian(self, a: np.ndarray, cfg: SeesCConfig) -> np.ndarray:
-        """Hessian of ``value_grad``'s objective over ``a.ravel()``: L^2
-        blocks phi_t' diag(w pt_y pt_z) phi_t of the likelihood, minus the
+    def curvature(self, a: np.ndarray, f: np.ndarray, cfg: SeesCConfig) -> np.ndarray:
+        """Minus the Hessian of ``value_grad``'s objective over the entries
+        ``f``: A A' with A = M[f] sqrt(w) for the likelihood, plus the
         group-norm curvature eta (I / |a_g| - a_g a_g' / |a_g|^3) on every
         group that is not all zero."""
-        K, L = a.shape
-        inner = self._inner(a)
-        w = np.where(inner < PROB_FLOOR, 0.0,
-                     self.counts / np.maximum(inner, PROB_FLOOR) ** 2) / self.n_t
-        hess = np.empty((K, L, K, L))
-        for y in range(L):
-            for z in range(y, L):
-                block = -(self.phi_t.T @ ((w * self.pt[:, y] * self.pt[:, z])[:, None]
-                                          * self.phi_t))
-                hess[:, y, :, z] = block
-                hess[:, z, :, y] = block.T
-        hess = hess.reshape(K * L, K * L)
+        A = self.design[f]
+        A *= np.sqrt(self._weights(self._inner(a), 2))
+        curv = A @ A.T
         if cfg.eta > 0:
+            at = np.full(a.size, -1)
+            at[f] = np.arange(f.size)
             for g in self.groups:
-                v = a[g].ravel()
-                norm = float(np.sqrt(v @ v))
-                if norm > 0:
-                    idx = (g[:, None] * L + np.arange(L)).ravel()
-                    hess[np.ix_(idx, idx)] -= cfg.eta * (np.eye(v.size) / norm
-                                                         - np.outer(v, v) / norm ** 3)
-        return hess
+                norm = float(np.sqrt((a[g] ** 2).sum()))
+                g = g[at[g] >= 0]
+                if norm > 0 and g.size:
+                    curv[np.ix_(at[g], at[g])] += cfg.eta * (np.eye(g.size) / norm
+                                                             - np.outer(a[g], a[g]) / norm ** 3)
+        return curv
 
 
-def project_feasible(v: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Map ``v`` into {a >= 0, sum(c * a) = 1} for a nonnegative ``c``:
-    orthogonal step to the hyperplane, clip at 0, rescale. If clipping
-    leaves no mass, every entry with c > 0 is set to 1 before the rescale."""
-    c_sq = float((c * c).sum())
-    if c_sq <= 0:
-        raise ValidationError("constraint vector is identically zero")
-    a = np.maximum(v + c * (1.0 - float((c * v).sum())) / c_sq, 0.0)
-    s = float((c * a).sum())
-    if s <= 0:
-        a = np.where(c > 0, 1.0, a)
-        s = float((c * a).sum())
-    return a / s
-
-
-def projected_ascent(value_grad, c: np.ndarray, a0: np.ndarray, step0: float, tol: float,
-                     max_iters: int):
-    """Projected gradient ascent with halving backtracking over
-    {a >= 0, sum(c * a) = 1}, from the feasible ``a0``; kliep's solver, and
-    its only caller.
-
-    ``value_grad(a)`` returns the objective and its gradient. Each iteration
-    tries ``step0`` and up to 39 halvings of it and accepts the first
-    projected step that raises the objective, so accepted values never
-    decrease. The ascent stops when an iteration gains less than ``tol``
-    (converged) or after ``max_iters`` iterations. Returns
-    ``(a, value, iterations, converged)``.
-    """
-    a = a0
-    value, grad = value_grad(a)
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iters + 1):
-        step = step0
-        gain = 0.0
-        for _ in range(40):
-            cand = project_feasible(a + step * grad, c)
-            cand_value, cand_grad = value_grad(cand)
-            if cand_value > value:
-                gain = cand_value - value
-                a, value, grad = cand, cand_value, cand_grad
-                break
-            step *= 0.5
-        if gain < tol:
-            converged = True
-            break
-    return a, value, iterations, converged
+def _sees_c_problem(source: TabularDataset, target: TabularDataset,
+                    basis: BasisSet) -> _Problem:
+    """sees-c's problem over ``a.ravel()`` of the (K, L) coefficients. The
+    target enters only through its distinct (row, probabilities) pairs,
+    weighted by count, since equal rows may carry external predictions
+    that differ: M's row k * L + y is phi_k times the probability of label
+    y on each pair. c's entry k * L + y is the source mean of phi_k on the
+    rows of label y, and each feature's group holds its bases' entries for
+    every label."""
+    if target.pred_probs is None or source.pred_probs is None:
+        raise ValidationError("both datasets need pred_probs")
+    if source.labels is None:
+        raise ValidationError("source needs labels")
+    L = source.schema.n_labels
+    first, inverse = distinct_first([*target.rows.T, *target.pred_probs.T])
+    phi_t = basis.design(target.rows[first])
+    design = (phi_t.T[:, None, :] * target.pred_probs[first].T[None]).reshape(-1, first.size)
+    c = basis.design(source.rows).T @ (source.labels[:, None] == np.arange(1, L + 1))
+    groups = [(g[:, None] * L + np.arange(L)).ravel() for g in basis.groups()]
+    return _Problem(design, np.bincount(inverse).astype(float), c.ravel() / source.n, groups)
 
 
 def sees_c_objective(a: np.ndarray, source: TabularDataset, target: TabularDataset,
@@ -255,7 +209,8 @@ def sees_c_objective(a: np.ndarray, source: TabularDataset, target: TabularDatas
     The subgradient of a group term at an exactly-zero group is taken as 0.
     """
     a = np.asarray(a, dtype=float)
-    return _Problem(source, target, basis).value_grad(a, cfg)
+    value, grad = _sees_c_problem(source, target, basis).value_grad(a.ravel(), cfg)
+    return value, grad.reshape(a.shape)
 
 
 def kkt_residual(a: np.ndarray, grad: np.ndarray, c: np.ndarray, groups=(),
@@ -283,33 +238,40 @@ def kkt_residual(a: np.ndarray, grad: np.ndarray, c: np.ndarray, groups=(),
     return max(float(res.max()), *kinks), r
 
 
-def _newton_direction(hess: np.ndarray, grad: np.ndarray, c: np.ndarray, a: np.ndarray,
-                      free: np.ndarray) -> np.ndarray:
-    """Newton direction d of the model grad . d + d' hess d / 2 over the flat
-    ``free`` entries, with c . d = 0 and d = 0 elsewhere.
+def _newton_direction(problem: _Problem, cfg: SeesCConfig, a: np.ndarray, grad: np.ndarray,
+                      r: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Damped Newton direction d over the ``free`` entries, with c . d = 0
+    and d = 0 elsewhere.
 
-    The KKT system is solved on the null space of c (an orthonormal basis Z
-    from a QR of c) by ``lstsq``, since the indicator design makes the
-    Hessian singular: d = Z u with (Z' (-hess) Z) u = Z' grad. A free entry
-    at zero that d would make negative is fixed at zero and the system
-    solved again.
+    The system is solved on the null space of c (an orthonormal basis Z
+    from a QR of c): d = Z u with (Z' C Z + mu I) u = Z' grad, C the
+    ``curvature``. The damping mu is ``DAMPING`` times the largest |r| over
+    the free entries, so it vanishes at the optimum; it keeps the flat
+    directions of a singular C (indicator designs, Gaussian kernels) from
+    being dropped or blown up. A free entry at zero that d would make
+    negative is fixed at zero and the system solved again.
     """
+    c = problem.constraint
+    free = np.flatnonzero(free)
+    curv = problem.curvature(a, free, cfg)
+    keep = np.ones(free.size, dtype=bool)
     while True:
-        f = np.flatnonzero(free)
+        f = free[keep]
         basis = np.linalg.qr(c[f][:, None], mode="complete")[0][:, 1:]
-        u = np.linalg.lstsq(basis.T @ -hess[np.ix_(f, f)] @ basis, basis.T @ grad[f],
-                            rcond=None)[0]
+        system = basis.T @ curv[np.ix_(keep, keep)] @ basis
+        system[np.diag_indices_from(system)] += DAMPING * float(np.abs(r[f]).max())
         d = np.zeros(a.size)
-        d[f] = basis @ u
-        blocked = (a == 0) & (d < 0)
+        d[f] = basis @ np.linalg.solve(system, basis.T @ grad[f])
+        blocked = (a[free] == 0) & (d[free] < 0)
         if not blocked.any():
             return d
-        free = free & ~blocked
+        keep &= ~blocked
 
 
-def _newton_ascent(problem: _Problem, cfg: SeesCConfig, a: np.ndarray):
+def _newton_ascent(problem: _Problem, cfg: SeesCConfig):
     """Active-set projected Newton ascent (Bertsekas 1982) over
-    {a >= 0, sum(c * a) = 1} from the feasible ``a``.
+    {a >= 0, c . a = 1} from the uniform a = 1 / sum(c); the one solver of
+    sees-c and kliep.
 
     An iteration first tries to drop whole groups: every nonzero group whose
     positive entries would pass the kink test at zero (|max(r_g, 0)| <= eta
@@ -323,6 +285,10 @@ def _newton_ascent(problem: _Problem, cfg: SeesCConfig, a: np.ndarray):
     iterations)``.
     """
     c = problem.constraint
+    total = float(c.sum())
+    if total <= 0:
+        raise ValidationError("constraint vector is identically zero")
+    a = np.full(c.size, 1.0 / total)
     value, grad = problem.value_grad(a, cfg)
     residual, r = kkt_residual(a, grad, c, problem.groups, cfg.eta)
     iterations = 0
@@ -334,7 +300,7 @@ def _newton_ascent(problem: _Problem, cfg: SeesCConfig, a: np.ndarray):
                 pull = np.where(a[g] > 0, r[g] + cfg.eta * a[g] / norm, 0.0)
                 if np.sqrt((np.maximum(pull, 0.0) ** 2).sum()) <= cfg.eta:
                     cand[g] = 0.0
-        total = float((c * cand).sum())
+        total = float(c @ cand)
         if total > 0 and (cand != a).any() and problem.gain(a, cand / total, cfg) > 0:
             cand /= total
         else:
@@ -356,9 +322,15 @@ def _newton_step(problem: _Problem, cfg: SeesCConfig, a: np.ndarray, grad: np.nd
     |max(r_g, 0)| <= eta, the kink test. The step takes the Newton direction
     on the free set, or, if that does not ascend, the fallback that moves
     each free entry by its r, less (c . that) * a to keep c . d = 0, which
-    leaves the slope unchanged since r . a = 0. It cuts the direction at the first bound (ratio test) and
-    halves the step until the Armijo test holds on the exact ``gain``, so
-    accepted objectives never decrease.
+    leaves the slope unchanged since r . a = 0.
+
+    Along the direction d it first searches the projected arc: max(a + t d,
+    0) rescaled to c . a = 1, for t = 1, 1/2, ..., accepted once the exact
+    ``gain`` is at least 1e-4 times the first-order gain of the move it
+    makes, so entries that reach zero leave the free set in one step. If
+    no arc point passes, it cuts d at the first bound (ratio test) and
+    halves that step until the same test holds on the straight move.
+    Accepted objectives never decrease.
     """
     c = problem.constraint
     free = (a > 0) | (r > 0)
@@ -369,25 +341,32 @@ def _newton_step(problem: _Problem, cfg: SeesCConfig, a: np.ndarray, grad: np.nd
                 free[g] = False
             else:
                 kinks.append(g)
-    newton = _newton_direction(problem.hessian(a, cfg), grad.ravel(), c.ravel(), a.ravel(),
-                               free.ravel()).reshape(a.shape)
-    ascent = np.where(free, r, 0.0)
-    ascent -= float((c * ascent).sum()) * a
-    for d in (newton, ascent):
+
+    def slope(d):
         # along d, the norm of an all-zero group grows by |d_g| per unit step
-        slope = float((grad * d).sum()) - cfg.eta * sum(
-            float(np.sqrt((d[g] ** 2).sum())) for g in kinks)
-        if slope > 0:
+        return float(grad @ d) - cfg.eta * sum(float(np.sqrt((d[g] ** 2).sum())) for g in kinks)
+
+    ascent = np.where(free, r, 0.0)
+    ascent -= float(c @ ascent) * a
+    for d in (_newton_direction(problem, cfg, a, grad, r, free), ascent):
+        if slope(d) > 0:
             break
     else:
         return None
+    step = 1.0
+    for _ in range(ARC_HALVINGS):
+        cand = np.maximum(a + step * d, 0.0)
+        cand /= float(c @ cand)
+        if problem.gain(a, cand, cfg) >= 1e-4 * slope(cand - a) > 0:
+            return cand
+        step *= 0.5
     neg = d < 0
     bound_steps = np.full(a.shape, np.inf)
     bound_steps[neg] = -a[neg] / d[neg]
     step = min(1.0, float(bound_steps.min()))
     for _ in range(40):
         cand = np.where(bound_steps <= step, 0.0, np.maximum(a + step * d, 0.0))
-        if problem.gain(a, cand, cfg) >= 1e-4 * step * slope:
+        if problem.gain(a, cand, cfg) >= 1e-4 * step * slope(d):
             return cand
         step *= 0.5
     return None
@@ -395,7 +374,8 @@ def _newton_step(problem: _Problem, cfg: SeesCConfig, a: np.ndarray, grad: np.nd
 
 def run_sees_c(source: TabularDataset, target: TabularDataset, basis: BasisSet,
                cfg: SeesCConfig = SeesCConfig()) -> tuple[BasisWeight, dict]:
-    """Fit the coefficients with ``_newton_ascent`` from the uniform start.
+    """Fit the coefficients with ``_newton_ascent`` from the uniform start;
+    for indicator bases that start is exactly w = 1.
 
     Returns the fitted weight and diagnostics: final objective, constraint
     residual, ``stationarity`` (the final ``kkt_residual``), iterations, and
@@ -405,26 +385,22 @@ def run_sees_c(source: TabularDataset, target: TabularDataset, basis: BasisSet,
     target rows reach but no source row weights leaves the objective
     unbounded, so it raises ValidationError naming the cell.
     """
-    problem = _Problem(source, target, basis)
-    if cfg.eta == 0:
-        support = problem.phi_t.T @ (problem.counts[:, None] * problem.pt)
-        for k, y in np.argwhere((problem.constraint == 0) & (support > 0))[:1]:
-            j = next(j for j, g in enumerate(problem.groups) if k in g)
-            col, schema = basis.schema.columns[j], basis.schema
-            cell = (col.name if col.kind != DISCRETE else
-                    f"{col.name}={encode_code(k - problem.groups[j][0] + 1, col.categories)}")
-            raise ValidationError(
-                f"sees-c with eta 0 is unbounded: target rows reach basis cell ({cell}, "
-                f"{schema.label_name}={encode_code(y + 1, schema.label_categories)}), "
-                "which no source row weights")
-    # start at the feasible uniform rescale of all-ones; for indicator bases
-    # this is exactly w = 1
-    a = np.ones((basis.size, problem.L))
-    total = float((problem.constraint * a).sum())
-    if total <= 0:
-        raise ValidationError("constraint vector is identically zero")
-    a, value, stationarity, iterations = _newton_ascent(problem, cfg, a / total)
-    residual = abs(float((problem.constraint * a).sum()) - 1.0)
+    problem = _sees_c_problem(source, target, basis)
+    L = source.schema.n_labels
+    unbounded = np.flatnonzero((problem.constraint == 0)
+                               & (problem.design @ problem.counts > 0))
+    if cfg.eta == 0 and unbounded.size:
+        k, y = divmod(int(unbounded[0]), L)
+        j, g = next((j, g) for j, g in enumerate(basis.groups()) if k in g)
+        col, schema = basis.schema.columns[j], basis.schema
+        cell = (col.name if col.kind != DISCRETE else
+                f"{col.name}={encode_code(k - g[0] + 1, col.categories)}")
+        raise ValidationError(
+            f"sees-c with eta 0 is unbounded: target rows reach basis cell ({cell}, "
+            f"{schema.label_name}={encode_code(y + 1, schema.label_categories)}), "
+            "which no source row weights")
+    a, value, stationarity, iterations = _newton_ascent(problem, cfg)
+    residual = abs(float(problem.constraint @ a) - 1.0)
     diagnostics = {
         "objective": value,
         "constraint_residual": residual,
@@ -432,4 +408,4 @@ def run_sees_c(source: TabularDataset, target: TabularDataset, basis: BasisSet,
         "iterations": float(iterations),
         "non_convergence": 1.0 if (residual > 1e-6 or stationarity > KKT_TOL) else 0.0,
     }
-    return BasisWeight(coefficients=a, basis=basis), diagnostics
+    return BasisWeight(coefficients=a.reshape(basis.size, L), basis=basis), diagnostics

@@ -239,17 +239,19 @@ def sample_analytic(dist: AnalyticDistribution, n: int, seed: int,
 class ShiftSpec:
     """A simulated shift: which features move, and the new (x_I, y) marginal.
 
-    ``cells`` maps ``(x_I value tuple, y)`` to mass; the masses must sum to
-    1 within 1e-9 (they are renormalized exactly). ``shifted`` may be empty
-    for a label-only shift.
+    ``cells`` maps ``(x_I value tuple, y)`` to mass, x_I in the order of
+    ``shifted``; the masses must sum to 1 within 1e-9 (they are renormalized
+    exactly). ``shifted`` is stored sorted, and each key's values with it.
+    ``shifted`` may be empty for a label-only shift.
     """
 
     shifted: tuple[int, ...]
     cells: dict
 
     def __post_init__(self):
-        shifted = tuple(sorted(int(i) for i in self.shifted))
-        object.__setattr__(self, "shifted", shifted)
+        given = [int(i) for i in self.shifted]
+        order = sorted(range(len(given)), key=given.__getitem__)
+        object.__setattr__(self, "shifted", tuple(given[i] for i in order))
         total = float(sum(self.cells.values()))
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"spec marginal sums to {total}, not 1")
@@ -257,9 +259,10 @@ class ShiftSpec:
         for (xv, y), m in self.cells.items():
             if m < 0:
                 raise ValidationError("negative spec mass")
-            if len(tuple(xv)) != len(shifted):
+            xv = tuple(xv)
+            if len(xv) != len(given):
                 raise ValidationError("spec cell arity does not match shifted set")
-            cells[(tuple(int(v) for v in xv), int(y))] = float(m) / total
+            cells[(tuple(int(xv[i]) for i in order), int(y))] = float(m) / total
         object.__setattr__(self, "cells", MappingProxyType(cells))
 
 

@@ -41,12 +41,11 @@ def gaussian_kernel(x: np.ndarray, centers: np.ndarray, gamma: float) -> np.ndar
     return np.exp(k, out=k)
 
 
-def distinct_kernel(schema: FeatureSchema, rows: np.ndarray, centers: np.ndarray,
-                    gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """The Gaussian kernel of each distinct row of ``rows``, one-hot encoded,
-    against ``centers``, and each row's position among the distinct rows."""
+def distinct_one_hot(schema: FeatureSchema, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one-hot encoding of each distinct row of ``rows``, and each row's
+    position among the distinct rows."""
     first, inverse = distinct_first(rows.T)
-    return gaussian_kernel(one_hot(schema, rows[first]), centers, gamma), inverse
+    return one_hot(schema, rows[first]), inverse
 
 
 class WeightFunction:
@@ -152,8 +151,8 @@ class KernelWeight(WeightFunction):
     schema: FeatureSchema  # rows are compared in its one-hot encoding
 
     def weights_for(self, ds: TabularDataset) -> np.ndarray:
-        k, inverse = distinct_kernel(self.schema, ds.rows, self.centers, self.gamma)
-        return (k @ self.alphas)[inverse]
+        x, inverse = distinct_one_hot(self.schema, ds.rows)
+        return (gaussian_kernel(x, self.centers, self.gamma) @ self.alphas)[inverse]
 
 
 @dataclass(frozen=True)

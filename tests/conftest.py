@@ -1,4 +1,5 @@
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +53,30 @@ def far_apart_pair():
     source = TabularDataset(schema=schema, rows=1e3 + rng.normal(size=(200, 1)),
                             labels=rng.integers(1, 3, 200))
     return source, TabularDataset(schema=schema, rows=rng.normal(size=(800, 1)))
+
+
+@pytest.fixture(scope="session")
+def benchmark_pair(tmp_path_factory):
+    """``make(workload, seed)``: the benchmark's estimate input of that name
+    and seed as a scored (source, target) pair, read, fitted and predicted
+    as ``estimate`` does without external predictions."""
+    from shiftscope.data import load_dataset, load_schema
+
+    root = str(Path(__file__).resolve().parent.parent)
+    if root not in sys.path:  # perfbench.workloads writes the inputs
+        sys.path.insert(0, root)
+    from perfbench.workloads import WORKLOADS
+
+    def make(workload, seed):
+        job = WORKLOADS[workload]()
+        job.prepare(tmp_path_factory.mktemp(workload), seed)
+        schema = load_schema(job.inp.schema_path)
+        source = load_dataset(job.inp.source_path, schema)
+        model = train_logistic(source)
+        target = load_dataset(job.inp.target_path, schema).without_labels()
+        return predict(model, source), predict(model, target)
+
+    return make
 
 
 def make_rng(seed=0):

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from shiftscope.baselines import KLIEP_ITERS, _median_pairwise, run_bbse, run_dlu, run_kliep
-from shiftscope.errors import DegenerateKernel, SingularConfusion, ValidationError
+from shiftscope import baselines
+from shiftscope.baselines import _median_pairwise, run_bbse, run_dlu, run_kliep
+from shiftscope.errors import DegenerateKernel, SingularConfusion
 from shiftscope.estimator import Pair, score_weights
 from shiftscope.sees_d import SeesDConfig, run_sees_d, sample_joints
 from shiftscope.synth import (
@@ -15,6 +18,7 @@ from shiftscope.synth import (
 )
 from shiftscope.data import Column, FeatureSchema, TabularDataset
 from shiftscope.predictor import one_hot
+from shiftscope.sees_c import KKT_TOL, PROB_FLOOR, SeesCConfig
 from shiftscope.tabulate import LABEL, PREDICTION, distinct_first, estimate_pmf
 
 
@@ -104,28 +108,30 @@ class TestKliep:
         vals = weight.weights_for(small_scored)
         assert float(np.sqrt(np.mean((vals - 1.0) ** 2))) < 0.1
 
-    def test_objective_nondecreasing_in_budget(self, small_scored):
+    def test_objective_nondecreasing_in_budget(self, small_scored, monkeypatch):
         rng = np.random.default_rng(4)
         target = small_scored.take(rng.integers(0, small_scored.n, size=1200))
-        values = [
-            run_kliep(small_scored, target, max_iters=k)[1]["objective"]
-            for k in (1, 5, 25, 125)
-        ]
+        values = [kliep_capped(monkeypatch, small_scored, target, k)[1]["objective"]
+                  for k in (1, 2, 3, 4)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_iteration_cap_reports_non_convergence(self, small_scored):
+    def test_iteration_cap_reports_non_convergence(self, small_scored, monkeypatch):
         rng = np.random.default_rng(4)
         target = small_scored.take(rng.integers(0, small_scored.n, size=1200))
-        _, capped, _ = run_kliep(small_scored, target, max_iters=3)
+        _, capped, _ = kliep_capped(monkeypatch, small_scored, target, 2)
         _, full, _ = run_kliep(small_scored, target)
-        assert capped["iterations"] == 3.0 and capped["non_convergence"] == 1.0
-        assert full["iterations"] < KLIEP_ITERS and full["non_convergence"] == 0.0
-        assert 0.0 < full["stationarity"] < capped["stationarity"]
+        assert capped["iterations"] == 2.0 and capped["non_convergence"] == 1.0
+        assert full["iterations"] > 2.0 and full["non_convergence"] == 0.0
+        assert full["stationarity"] <= KKT_TOL < capped["stationarity"]
 
-    @pytest.mark.parametrize("max_iters", [0, -3])
-    def test_nonpositive_iteration_cap_rejected(self, small_scored, max_iters):
-        with pytest.raises(ValidationError, match="max_iters must be positive"):
-            run_kliep(small_scored, small_scored, max_iters=max_iters)
+    @pytest.mark.parametrize("workload", ["estimate-discrete", "estimate-continuous"])
+    def test_matches_slsqp_reference(self, benchmark_pair, workload):
+        source, target = benchmark_pair(workload, 1)
+        weight, diag, w = run_kliep(source, target)
+        assert diag["stationarity"] <= KKT_TOL and diag["non_convergence"] == 0.0
+        assert diag["objective"] == pytest.approx(kliep_reference(source, target, weight.gamma),
+                                                  abs=1e-8)
+        np.testing.assert_allclose(w, weight.weights_for(source), rtol=1e-12)
 
     def test_covariate_beats_bbse_on_gap(self):
         # Monte-Carlo ordering: average the squared gap error over seeds
@@ -162,6 +168,42 @@ class TestKliep:
         source, target = far_apart_pair
         with pytest.raises(DegenerateKernel, match="no source row reaches any centre"):
             run_kliep(source, target)
+
+
+def kliep_capped(monkeypatch, source, target, max_iters):
+    """``run_kliep`` with the shared ascent capped at ``max_iters`` iterations."""
+    with monkeypatch.context() as m:
+        m.setattr(baselines, "SeesCConfig", partial(SeesCConfig, max_iters=max_iters))
+        return run_kliep(source, target)
+
+
+def kliep_reference(source, target, gamma, centers=100):
+    """kliep's optimum by SLSQP at bandwidth parameter ``gamma``, over
+    centres on ``centers`` evenly spaced target rows: the mean log of
+    k(x, centres) . alpha over every target row, floored as sees-c floors
+    it, subject to alpha >= 0 and the unit mean of the weight over every
+    source row."""
+    idx = np.unique(np.linspace(0, target.n - 1, num=centers).round().astype(int))
+    ctr = one_hot(target.schema, target.rows[idx])
+
+    def kernel(ds):
+        x = one_hot(ds.schema, ds.rows)
+        return np.column_stack([np.exp(-gamma * ((x - c) ** 2).sum(axis=1)) for c in ctr])
+
+    k_t, b = kernel(target), kernel(source).mean(axis=0)
+
+    def objective(alpha):
+        inner = np.maximum(k_t @ alpha, PROB_FLOOR)
+        return -float(np.log(inner).mean()), -k_t.T @ (1.0 / inner) / k_t.shape[0]
+
+    res = minimize(objective, np.full(b.size, 1.0 / b.sum()), jac=True, method="SLSQP",
+                   bounds=[(0, None)] * b.size,
+                   constraints=[{"type": "eq", "fun": lambda a: [b @ a - 1.0],
+                                 "jac": lambda a: b[None]}],
+                   options={"ftol": 1e-15, "maxiter": 1000})
+    assert res.success, res.message
+    alpha = np.maximum(res.x, 0.0)
+    return -objective(alpha / float(b @ alpha))[0]
 
 
 def dense_median_pairwise(x, limit=1000):
@@ -248,16 +290,17 @@ def test_kliep_kernels_read_distinct_rows_only(monkeypatch):
     for name in ("gaussian_kernel", "sq_distances"):
         real = getattr(shiftscope.weights, name)
 
-        def counted(x, *args, _real=real, _name=name):
-            seen.append((_name, x.shape[0]))
-            return _real(x, *args)
+        def counted(x, y, *args, _real=real, _name=name):
+            seen.append((_name, x.shape[0], y.shape[0]))
+            return _real(x, y, *args)
 
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("shiftscope") and getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counted)
     run_kliep(source, target)
-    assert {name for name, _ in seen} == {"gaussian_kernel", "sq_distances"}
-    assert {rows for _, rows in seen} <= bounds
+    assert {name for name, _, _ in seen} == {"gaussian_kernel", "sq_distances"}
+    # one axis of each kernel holds the distinct rows of one side, the other the centres
+    assert all(rows in bounds or cols in bounds for _, rows, cols in seen)
 
 
 class TestDlu:

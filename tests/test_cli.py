@@ -3,8 +3,8 @@ import json
 import pytest
 
 import shiftscope.tabulate
-from shiftscope.cli import main
-from shiftscope.data import save_dataset, save_schema
+from shiftscope.cli import load_shift_spec, main
+from shiftscope.data import Column, FeatureSchema, save_dataset, save_schema
 from shiftscope.synth import (
     binary_base,
     boosted_marginal,
@@ -119,6 +119,18 @@ class TestSimulate:
         assert err.startswith("ERROR VALIDATION_ERROR: refusing to materialize table with 4 cells")
         assert err.count("\n") == 1
         assert not list(workspace.glob("too_wide.*"))
+
+
+def test_spec_features_out_of_schema_order(tmp_path):
+    schema = FeatureSchema(columns=(Column("a", "discrete", 2, ("a1", "a2")),
+                                    Column("b", "discrete", 3, ("b1", "b2", "b3"))),
+                           label_cardinality=2)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"shifted_features": ["b", "a"],
+                                "cells": [{"x": ["b2", "a1"], "y": "1", "mass": 1.0}]}))
+    spec = load_shift_spec(path, schema)
+    assert spec.shifted == (1, 2)
+    assert dict(spec.cells) == {((1, 2), 1): 1.0}
 
 
 class TestEstimate:
@@ -268,8 +280,6 @@ class TestEstimate:
         ("--sparsity", "-1"),
         ("--eta", "-0.1"),
         ("--weight-bound", "0.5"),
-        ("--kliep-iters", "0"),
-        ("--kliep-iters", "-3"),
         ("--bins", "1"),  # rejected although every column is discrete
     ])
     def test_bad_flag_is_rejected_for_any_method(self, workspace, tmp_path, capsys,

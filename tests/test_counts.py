@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftscope import sees_c
-from shiftscope.baselines import EPS, run_kliep
+from shiftscope.baselines import run_kliep
 from shiftscope.cli import main
 from shiftscope.data import (
     Column,
@@ -152,16 +152,23 @@ def per_row_sees_c(a, phi, probs, groups, cfg):
     return value, grad
 
 
+SEES_C_PROBLEM = sees_c._sees_c_problem  # kept, as a test below swaps in PerRowProblem
+
+
 class PerRowProblem(sees_c._Problem):
     """sees-c's problem with its value and gradient taken over every target row."""
 
     def __init__(self, source, target, basis):
-        super().__init__(source, target, basis)
+        problem = SEES_C_PROBLEM(source, target, basis)
+        super().__init__(problem.design, problem.counts, problem.constraint, problem.groups)
         self.all_phi = basis.design(target.rows)
         self.all_probs = target.pred_probs
+        self.basis_groups = basis.groups()
 
     def value_grad(self, a, cfg):
-        return per_row_sees_c(a, self.all_phi, self.all_probs, self.groups, cfg)
+        value, grad = per_row_sees_c(a.reshape(-1, self.all_probs.shape[1]), self.all_phi,
+                                     self.all_probs, self.basis_groups, cfg)
+        return value, grad.ravel()
 
 
 def with_probs(ds: TabularDataset, seed: int) -> TabularDataset:
@@ -280,7 +287,7 @@ def test_kliep_objective_equals_per_row():
     x = one_hot(target.schema, target.rows)
     per_row = [
         np.log(max(float(np.exp(-weight.gamma * ((xi - weight.centers) ** 2).sum(axis=1))
-                          @ weight.alphas), EPS))
+                          @ weight.alphas), sees_c.PROB_FLOOR))
         for xi in x
     ]
     assert diag["objective"] == pytest.approx(float(np.mean(per_row)), rel=1e-12, abs=1e-12)
@@ -326,7 +333,7 @@ def test_sees_c_with_external_predictions_matches_per_row(tmp_path, monkeypatch)
                               tmp_path / "target.preds.csv")
     basis = default_basis(source.schema, reference=source)
     weight, diag = run_sees_c(source, target, basis)
-    monkeypatch.setattr(sees_c, "_Problem", PerRowProblem)
+    monkeypatch.setattr(sees_c, "_sees_c_problem", PerRowProblem)
     ref_weight, ref_diag = run_sees_c(source, target, basis)
 
     assert diag["iterations"] == ref_diag["iterations"]

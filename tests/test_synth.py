@@ -10,6 +10,7 @@ from shiftscope.synth import (
     ShiftSpec,
     apply_shift,
     age_case_pair,
+    binary_base,
     age_case_base,
     empirical_marginal,
     identifiable_fixture,
@@ -204,6 +205,18 @@ class TestSpecValidation:
     def test_arity_checked(self):
         with pytest.raises(ValidationError):
             ShiftSpec(shifted=(1, 2), cells={((1,), 1): 1.0})
+
+    def test_cell_keys_follow_the_sorted_features(self):
+        spec = ShiftSpec(shifted=(3, 1), cells={((2, 1), 2): 0.25, ((1, 2), 1): 0.75})
+        assert spec.shifted == (1, 3)
+        assert dict(spec.cells) == {((1, 2), 2): 0.25, ((2, 1), 1): 0.75}
+
+    def test_features_out_of_order_draw_the_cell_named(self):
+        # the one cell is x3 = 2, x1 = 1, y = 2, keyed with feature 3 first
+        spec = ShiftSpec(shifted=(3, 1), cells={((2, 1), 2): 1.0})
+        drawn = apply_shift(binary_base(3, 2000, 0), spec, 50, seed=0)[0]
+        assert (drawn.rows[:, 2] == 2).all() and (drawn.rows[:, 0] == 1).all()
+        assert (drawn.labels == 2).all()
 
     def test_shifted_outside_schema_rejected(self, small_base):
         spec = ShiftSpec(shifted=(9,), cells={((1,), 1): 1.0})
