@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import FeatureSchema, TabularDataset
+from .data import FeatureSchema, TabularDataset, distinct_first
 from .errors import DegenerateKernel, SingularConfusion, ValidationError
 from .predictor import one_hot, train_logistic
 from .sees_c import KKT_TOL, SeesCConfig, _newton_ascent, _Problem
 from .tabulate import LABEL, PREDICTION, EmpiricalPmf
-from .weights import (KernelWeight, ModelRatioWeight, TableWeight, distinct_one_hot,
-                      gaussian_kernel, sq_distances)
+from .weights import KernelWeight, ModelRatioWeight, TableWeight, gaussian_kernel, sq_distances
 
 CONDITION_LIMIT = 1e12
 
@@ -49,7 +48,8 @@ def _median_pairwise(schema: FeatureSchema, rows: np.ndarray, limit: int = 1000)
     over every pair."""
     if rows.shape[0] > limit:
         rows = rows[np.unique(np.linspace(0, rows.shape[0] - 1, num=limit).round().astype(int))]
-    x, inverse = distinct_one_hot(schema, rows)
+    first, inverse = distinct_first(rows.T)
+    x = one_hot(schema, rows[first])
     counts = np.bincount(inverse)
     iu = np.triu_indices(x.shape[0], k=1)
     dist = np.append(np.sqrt(sq_distances(x, x)[iu]), 0.0)
@@ -63,10 +63,11 @@ def run_kliep(source: TabularDataset, target: TabularDataset,
 
     Centers sit on evenly spaced target rows; the bandwidth is the median
     pairwise distance over a bounded subsample of the pooled data. Both
-    sides enter through their distinct rows, weighted by count, so each
-    kernel has one column or row per distinct row. The log-likelihood is
-    fitted by sees-c's ``_newton_ascent`` at eta 0 under the unit source
-    mean, and ``stationarity`` and ``non_convergence`` read as sees-c's do.
+    sides enter through their distinct rows (their ``row_key``), weighted
+    by count, so each kernel has one column or row per distinct row. The
+    log-likelihood is fitted by sees-c's ``_newton_ascent`` at eta 0 under
+    the unit source mean, and ``stationarity`` and ``non_convergence`` read
+    as sees-c's do.
     Returns the weight, which keeps only the centres with positive alpha,
     the diagnostics and the weight's values on ``source`` (``weights_for``'s).
     """
@@ -79,12 +80,14 @@ def run_kliep(source: TabularDataset, target: TabularDataset,
                     .round().astype(int))
     ctr = one_hot(schema, target.rows[idx])
 
-    x_s, inverse_s = distinct_one_hot(schema, source.rows)
+    first_s, inverse_s = source.row_key
+    x_s = one_hot(schema, source.rows[first_s])
     # the constraint b . alpha = 1 is the unit source mean of the weight
     b = np.bincount(inverse_s).astype(float) @ gaussian_kernel(x_s, ctr, gamma) / source.n
     if not b.any():
         raise DegenerateKernel("no source row reaches any centre")
-    x_t, inverse_t = distinct_one_hot(schema, target.rows)
+    first_t, inverse_t = target.row_key
+    x_t = one_hot(schema, target.rows[first_t])
     problem = _Problem(gaussian_kernel(ctr, x_t, gamma), np.bincount(inverse_t).astype(float), b)
     alpha, value, stationarity, iterations = _newton_ascent(problem, SeesCConfig(eta=0.0))
     nz = np.flatnonzero(alpha)

@@ -143,6 +143,11 @@ class TabularDataset:
     ``rows`` is float64; discrete columns hold integral codes in
     ``{1..cardinality}``. ``labels`` / ``predictions`` are 1-based class
     indices, ``pred_probs`` is row-stochastic with L columns.
+
+    ``row_key`` keys the rows once, on first use; ``with_outputs`` and
+    ``without_labels`` keep the rows, so they carry the key over. It is a
+    deterministic function of the rows, so threads that race on it can at
+    most compute it twice.
     """
 
     schema: FeatureSchema
@@ -185,11 +190,31 @@ class TabularDataset:
         self.schema.column(index)
         return self.rows[:, index - 1]
 
+    @property
+    def row_key(self) -> tuple[np.ndarray, np.ndarray]:
+        """``distinct_first`` of the feature rows: the first row of each
+        distinct row and each row's position among them. A consumer that
+        keys rows together with labels or probabilities refines this key,
+        passing ``inverse`` as the first column, which folds by counting."""
+        key = self.__dict__.get("_row_key")
+        if key is None:
+            key = distinct_first(self.rows.T)
+            for part in key:
+                part.setflags(write=False)
+            object.__setattr__(self, "_row_key", key)
+        return key
+
+    def _same_rows(self, **changes) -> "TabularDataset":
+        ds = replace(self, **changes)
+        if "_row_key" in self.__dict__:
+            object.__setattr__(ds, "_row_key", self._row_key)
+        return ds
+
     def with_outputs(self, predictions, pred_probs) -> "TabularDataset":
-        return replace(self, predictions=predictions, pred_probs=pred_probs)
+        return self._same_rows(predictions=predictions, pred_probs=pred_probs)
 
     def without_labels(self) -> "TabularDataset":
-        return replace(self, labels=None)
+        return self._same_rows(labels=None)
 
     def take(self, indices) -> "TabularDataset":
         idx = np.asarray(indices, dtype=int)
@@ -263,6 +288,17 @@ def distinct_first(columns) -> tuple[np.ndarray, np.ndarray]:
     firsts = np.flatnonzero(new)
     first[code[firsts]] = np.arange(firsts.size)  # now each code's rank
     return firsts, first[code]
+
+
+def refine_key(ds: TabularDataset, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``distinct_first`` of the rows of ``ds`` together with ``values``, one
+    entry or one row of entries per row (labels, probabilities), from
+    ``ds.row_key``: its ``inverse`` goes first and folds by counting. Values
+    that are equal on each distinct row leave the key as it is."""
+    first, inverse = ds.row_key
+    if (values[first][inverse] == values).all():
+        return first, inverse
+    return distinct_first([inverse, *values.reshape(ds.n, -1).T])
 
 
 def validate_dataset(ds: TabularDataset) -> list[str]:

@@ -99,9 +99,10 @@ class Pair:
     truth, prepared once for every method and sparsity run on them.
     ``discretized``, the raw pair by default, is what dlu reads and what
     ``joints``, the two joints sees-d and bbse run on, are built from. Each
-    cached value lives on the pair, never longer; it is a deterministic
-    function of the frozen fields, so threads that race on it can at most
-    compute it twice."""
+    cached value lives on the pair, never longer, as each dataset's
+    ``row_key`` lives on the dataset; each is a deterministic function of
+    frozen fields, so threads that race on it can at most compute it
+    twice."""
 
     source: TabularDataset
     target: TabularDataset

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DISCRETE, FeatureSchema, TabularDataset, check_columns, open_input
+from .data import (DISCRETE, FeatureSchema, TabularDataset, check_columns, open_input,
+                   refine_key)
 from .errors import MalformedRow, RowCountMismatch, ValidationError
-from .tabulate import distinct_first
 
 GRAD_TOL = 1e-8  # the logistic fit's one stop test, on the gradient norm
 ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
@@ -45,9 +45,19 @@ def design_matrix(schema: FeatureSchema, rows: np.ndarray) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax of each row of ``z``, reduced across its L columns, since numpy
+    reduces short rows slowly. The max is exact in any order; the sum runs
+    left to right, which is numpy's order for a row of fewer than 8, so below
+    8 columns the bits are those of the row-wise formula, and from 8 on they
+    can differ from numpy's pairwise row sum in the last bit."""
+    top = z[:, 0].copy()
+    for col in z.T[1:]:
+        np.maximum(top, col, out=top)
+    e = np.exp(z - top[:, None])
+    total = e[:, 0].copy()
+    for col in e.T[1:]:
+        total += col
+    return e / total[:, None]
 
 
 def logistic_loss_grad(w_flat: np.ndarray, x: np.ndarray, y_idx: np.ndarray,
@@ -59,6 +69,11 @@ def logistic_loss_grad(w_flat: np.ndarray, x: np.ndarray, y_idx: np.ndarray,
     flattened; the last design column is the intercept and is left
     unregularized.
     """
+    return _loss_grad_probs(w_flat, x, y_idx, counts, l2_lambda)[:2]
+
+
+def _loss_grad_probs(w_flat, x, y_idx, counts, l2_lambda):
+    """:func:`logistic_loss_grad` and the class probabilities of each row."""
     m, p = x.shape
     L = w_flat.size // p
     w = w_flat.reshape(p, L)
@@ -67,11 +82,11 @@ def logistic_loss_grad(w_flat: np.ndarray, x: np.ndarray, y_idx: np.ndarray,
     picked = np.log(np.maximum(probs[np.arange(m), y_idx], 1e-300))
     nll = -float((counts * picked).sum()) / n
     loss = nll + 0.5 * l2_lambda * float((w[:-1] * w[:-1]).sum())
-    resid = probs  # probs is not read again
+    resid = probs.copy()
     resid[np.arange(m), y_idx] -= 1.0
     grad = x.T @ (resid * counts[:, None]) / n
     grad[:-1] += l2_lambda * w[:-1]
-    return loss, grad.reshape(-1)
+    return loss, grad.reshape(-1), probs
 
 
 @dataclass(frozen=True)
@@ -89,13 +104,12 @@ class LogisticModel:
         object.__setattr__(self, "coef", coef)
 
 
-def _hessian(w_flat: np.ndarray, x: np.ndarray, counts: np.ndarray,
+def _hessian(probs: np.ndarray, x: np.ndarray, counts: np.ndarray,
              l2_lambda: float) -> np.ndarray:
-    """Hessian of :func:`logistic_loss_grad`: ``sum_i (c_i/n) kron(x_i x_i^T,
+    """Hessian of :func:`logistic_loss_grad` at the point where each row's
+    class probabilities are ``probs``: ``sum_i (c_i/n) kron(x_i x_i^T,
     diag(p_i) - p_i p_i^T)`` plus the ridge on the non-intercept coordinates."""
-    p = x.shape[1]
-    L = w_flat.size // p
-    probs = _softmax(x @ w_flat.reshape(p, L))
+    p, L = x.shape[1], probs.shape[1]
     s = counts / counts.sum()
     h = np.empty((p * L, p * L))
     for c in range(L):  # one (p, p) block per pair of classes
@@ -125,26 +139,27 @@ def train_logistic(ds: TabularDataset, l2_lambda: float = 1e-4,
     if ds.n < L:
         raise ValidationError(f"need at least L={L} rows to train")
     # the fit reads the data only through its distinct (row, label) pairs
-    first, inverse = distinct_first([*ds.rows.T, ds.labels])
+    first, inverse = refine_key(ds, ds.labels)
     counts = np.bincount(inverse).astype(float)
     x = design_matrix(ds.schema, ds.rows[first])
     y_idx = ds.labels[first] - 1
     w = np.zeros(x.shape[1] * L)
     free = np.arange(w.size) != w.size - L + np.argmax(np.bincount(y_idx, counts, L))
-    loss, grad = logistic_loss_grad(w, x, y_idx, counts, l2_lambda)
+    loss, grad, probs = _loss_grad_probs(w, x, y_idx, counts, l2_lambda)
     it = 0
     while np.linalg.norm(grad) > GRAD_TOL and it < max_iters:
         it += 1
-        h = _hessian(w, x, counts, l2_lambda)[np.ix_(free, free)]
+        h = _hessian(probs, x, counts, l2_lambda)[np.ix_(free, free)]
         step = np.zeros_like(w)
         step[free] = -np.linalg.solve(h, grad[free])
         step[-L:] -= step[-L:].mean()
         slope = float(grad @ step)
         t = 1.0
         for _ in range(50):
-            loss_new, grad_new = logistic_loss_grad(w + t * step, x, y_idx, counts, l2_lambda)
+            loss_new, grad_new, probs_new = _loss_grad_probs(w + t * step, x, y_idx, counts,
+                                                             l2_lambda)
             if loss_new <= loss + ARMIJO * t * slope or abs(slope) <= ROUNDING * loss:
-                w, loss, grad = w + t * step, loss_new, grad_new
+                w, loss, grad, probs = w + t * step, loss_new, grad_new, probs_new
                 break
             t *= 0.5
         else:
@@ -157,17 +172,26 @@ def train_logistic(ds: TabularDataset, l2_lambda: float = 1e-4,
     )
 
 
-def predict_probs(model: LogisticModel, ds: TabularDataset) -> np.ndarray:
+def _distinct_probs(model: LogisticModel, ds: TabularDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The class probabilities of each distinct row of ``ds``, and each row's
+    position among them (``ds.row_key``'s inverse)."""
     check_columns(model.schema, ds.schema, "model", "dataset")
-    return _softmax(design_matrix(ds.schema, ds.rows) @ model.coef)
+    first, inverse = ds.row_key
+    return _softmax(design_matrix(ds.schema, ds.rows[first]) @ model.coef), inverse
+
+
+def predict_probs(model: LogisticModel, ds: TabularDataset) -> np.ndarray:
+    """Class probabilities of every row, evaluated once per distinct row."""
+    probs, inverse = _distinct_probs(model, ds)
+    return probs[inverse]
 
 
 def predict(model: LogisticModel, ds: TabularDataset) -> TabularDataset:
     """Attach hard predictions (argmax, lowest class index on ties) and
-    row-stochastic probabilities."""
-    probs = predict_probs(model, ds)
-    preds = probs.argmax(axis=1) + 1
-    return ds.with_outputs(predictions=preds, pred_probs=probs)
+    row-stochastic probabilities, both evaluated once per distinct row."""
+    probs, inverse = _distinct_probs(model, ds)
+    return ds.with_outputs(predictions=(probs.argmax(axis=1) + 1)[inverse],
+                           pred_probs=probs[inverse])
 
 
 def load_predictions(ds: TabularDataset, path) -> TabularDataset:

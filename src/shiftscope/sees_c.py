@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DISCRETE, FeatureSchema, TabularDataset, encode_code
+from .data import DISCRETE, FeatureSchema, TabularDataset, encode_code, refine_key
 from .errors import ValidationError
 from .predictor import one_hot
-from .tabulate import distinct_first
 from .weights import BasisWeight
 
 
@@ -133,6 +132,8 @@ class _Problem:
                         self.counts / np.maximum(inner, PROB_FLOOR) ** power) / self.n
 
     def value_grad(self, a: np.ndarray, cfg: SeesCConfig):
+        """The objective and its gradient at ``a``, and the product M' a,
+        which ``gain`` and ``curvature`` read at ``a``."""
         inner = self._inner(a)
         value = float((self.counts * np.log(np.maximum(inner, PROB_FLOOR))).sum()) / self.n
         grad = self.design @ self._weights(inner, 1)
@@ -142,13 +143,14 @@ class _Problem:
             for g, norm in zip(self.groups, norms):
                 if norm > 0:
                     grad[g] -= cfg.eta * a[g] / norm
-        return value, grad
+        return value, grad, inner
 
-    def gain(self, a: np.ndarray, b: np.ndarray, cfg: SeesCConfig) -> float:
-        """value(b) - value(a) of ``value_grad``'s objective, from the log1p of
-        each row's relative change and the change of each group norm, so a
-        gain far below the objective's rounding keeps its sign."""
-        before = np.maximum(self._inner(a), PROB_FLOOR)
+    def gain(self, a: np.ndarray, inner: np.ndarray, b: np.ndarray, cfg: SeesCConfig) -> float:
+        """value(b) - value(a) of ``value_grad``'s objective, given the product
+        ``inner`` at ``a``, from the log1p of each row's relative change and
+        the change of each group norm, so a gain far below the objective's
+        rounding keeps its sign."""
+        before = np.maximum(inner, PROB_FLOOR)
         after = np.maximum(self._inner(b), PROB_FLOOR)
         exact = (before > PROB_FLOOR) & (after > PROB_FLOOR)
         change = np.where(exact, self._inner(b - a), after - before)
@@ -160,13 +162,14 @@ class _Problem:
                     gain -= cfg.eta * float(((b[g] - a[g]) * (b[g] + a[g])).sum()) / norm
         return gain
 
-    def curvature(self, a: np.ndarray, f: np.ndarray, cfg: SeesCConfig) -> np.ndarray:
+    def curvature(self, a: np.ndarray, inner: np.ndarray, f: np.ndarray,
+                  cfg: SeesCConfig) -> np.ndarray:
         """Minus the Hessian of ``value_grad``'s objective over the entries
-        ``f``: A A' with A = M[f] sqrt(w) for the likelihood, plus the
-        group-norm curvature eta (I / |a_g| - a_g a_g' / |a_g|^3) on every
-        group that is not all zero."""
+        ``f`` at ``a``, whose product is ``inner``: A A' with A = M[f] sqrt(w)
+        for the likelihood, plus the group-norm curvature eta (I / |a_g| -
+        a_g a_g' / |a_g|^3) on every group that is not all zero."""
         A = self.design[f]
-        A *= np.sqrt(self._weights(self._inner(a), 2))
+        A *= np.sqrt(self._weights(inner, 2))
         curv = A @ A.T
         if cfg.eta > 0:
             at = np.full(a.size, -1)
@@ -187,17 +190,20 @@ def _sees_c_problem(source: TabularDataset, target: TabularDataset,
     weighted by count, since equal rows may carry external predictions
     that differ: M's row k * L + y is phi_k times the probability of label
     y on each pair. c's entry k * L + y is the source mean of phi_k on the
-    rows of label y, and each feature's group holds its bases' entries for
-    every label."""
+    rows of label y, a count-weighted sum over the distinct (row, label)
+    pairs, and each feature's group holds its bases' entries for every
+    label."""
     if target.pred_probs is None or source.pred_probs is None:
         raise ValidationError("both datasets need pred_probs")
     if source.labels is None:
         raise ValidationError("source needs labels")
     L = source.schema.n_labels
-    first, inverse = distinct_first([*target.rows.T, *target.pred_probs.T])
+    first, inverse = refine_key(target, target.pred_probs)
     phi_t = basis.design(target.rows[first])
     design = (phi_t.T[:, None, :] * target.pred_probs[first].T[None]).reshape(-1, first.size)
-    c = basis.design(source.rows).T @ (source.labels[:, None] == np.arange(1, L + 1))
+    first_s, inverse_s = refine_key(source, source.labels)
+    by_label = source.labels[first_s][:, None] == np.arange(1, L + 1)
+    c = basis.design(source.rows[first_s]).T @ (by_label * np.bincount(inverse_s)[:, None])
     groups = [(g[:, None] * L + np.arange(L)).ravel() for g in basis.groups()]
     return _Problem(design, np.bincount(inverse).astype(float), c.ravel() / source.n, groups)
 
@@ -209,7 +215,7 @@ def sees_c_objective(a: np.ndarray, source: TabularDataset, target: TabularDatas
     The subgradient of a group term at an exactly-zero group is taken as 0.
     """
     a = np.asarray(a, dtype=float)
-    value, grad = _sees_c_problem(source, target, basis).value_grad(a.ravel(), cfg)
+    value, grad, _ = _sees_c_problem(source, target, basis).value_grad(a.ravel(), cfg)
     return value, grad.reshape(a.shape)
 
 
@@ -238,8 +244,8 @@ def kkt_residual(a: np.ndarray, grad: np.ndarray, c: np.ndarray, groups=(),
     return max(float(res.max()), *kinks), r
 
 
-def _newton_direction(problem: _Problem, cfg: SeesCConfig, a: np.ndarray, grad: np.ndarray,
-                      r: np.ndarray, free: np.ndarray) -> np.ndarray:
+def _newton_direction(problem: _Problem, cfg: SeesCConfig, a: np.ndarray, inner: np.ndarray,
+                      grad: np.ndarray, r: np.ndarray, free: np.ndarray) -> np.ndarray:
     """Damped Newton direction d over the ``free`` entries, with c . d = 0
     and d = 0 elsewhere.
 
@@ -253,7 +259,7 @@ def _newton_direction(problem: _Problem, cfg: SeesCConfig, a: np.ndarray, grad: 
     """
     c = problem.constraint
     free = np.flatnonzero(free)
-    curv = problem.curvature(a, free, cfg)
+    curv = problem.curvature(a, inner, free, cfg)
     keep = np.ones(free.size, dtype=bool)
     while True:
         f = free[keep]
@@ -289,7 +295,7 @@ def _newton_ascent(problem: _Problem, cfg: SeesCConfig):
     if total <= 0:
         raise ValidationError("constraint vector is identically zero")
     a = np.full(c.size, 1.0 / total)
-    value, grad = problem.value_grad(a, cfg)
+    value, grad, inner = problem.value_grad(a, cfg)
     residual, r = kkt_residual(a, grad, c, problem.groups, cfg.eta)
     iterations = 0
     while residual > KKT_TOL and iterations < cfg.max_iters:
@@ -301,21 +307,22 @@ def _newton_ascent(problem: _Problem, cfg: SeesCConfig):
                 if np.sqrt((np.maximum(pull, 0.0) ** 2).sum()) <= cfg.eta:
                     cand[g] = 0.0
         total = float(c @ cand)
-        if total > 0 and (cand != a).any() and problem.gain(a, cand / total, cfg) > 0:
+        if total > 0 and (cand != a).any() and problem.gain(a, inner, cand / total, cfg) > 0:
             cand /= total
         else:
-            cand = _newton_step(problem, cfg, a, grad, r)
+            cand = _newton_step(problem, cfg, a, inner, grad, r)
             if cand is None:
                 break
         a = np.where(cand > np.finfo(float).eps * cand[c > 0].max(), cand, 0.0)
-        value, grad = problem.value_grad(a, cfg)
+        value, grad, inner = problem.value_grad(a, cfg)
         residual, r = kkt_residual(a, grad, c, problem.groups, cfg.eta)
     return a, value, residual, iterations
 
 
-def _newton_step(problem: _Problem, cfg: SeesCConfig, a: np.ndarray, grad: np.ndarray,
-                 r: np.ndarray):
-    """One step of ``_newton_ascent`` from ``a``, or None if none ascends.
+def _newton_step(problem: _Problem, cfg: SeesCConfig, a: np.ndarray, inner: np.ndarray,
+                 grad: np.ndarray, r: np.ndarray):
+    """One step of ``_newton_ascent`` from ``a``, whose product M' a is
+    ``inner``, or None if none ascends.
 
     The free set holds the positive entries and the zero entries whose
     multiplier r is positive, but an all-zero group stays at zero while
@@ -348,7 +355,7 @@ def _newton_step(problem: _Problem, cfg: SeesCConfig, a: np.ndarray, grad: np.nd
 
     ascent = np.where(free, r, 0.0)
     ascent -= float(c @ ascent) * a
-    for d in (_newton_direction(problem, cfg, a, grad, r, free), ascent):
+    for d in (_newton_direction(problem, cfg, a, inner, grad, r, free), ascent):
         if slope(d) > 0:
             break
     else:
@@ -357,7 +364,7 @@ def _newton_step(problem: _Problem, cfg: SeesCConfig, a: np.ndarray, grad: np.nd
     for _ in range(ARC_HALVINGS):
         cand = np.maximum(a + step * d, 0.0)
         cand /= float(c @ cand)
-        if problem.gain(a, cand, cfg) >= 1e-4 * slope(cand - a) > 0:
+        if problem.gain(a, inner, cand, cfg) >= 1e-4 * slope(cand - a) > 0:
             return cand
         step *= 0.5
     neg = d < 0
@@ -366,7 +373,7 @@ def _newton_step(problem: _Problem, cfg: SeesCConfig, a: np.ndarray, grad: np.nd
     step = min(1.0, float(bound_steps.min()))
     for _ in range(40):
         cand = np.where(bound_steps <= step, 0.0, np.maximum(a + step * d, 0.0))
-        if problem.gain(a, cand, cfg) >= 1e-4 * step * slope(d):
+        if problem.gain(a, inner, cand, cfg) >= 1e-4 * step * slope(d):
             return cand
         step *= 0.5
     return None

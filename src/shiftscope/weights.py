@@ -16,10 +16,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .data import FeatureSchema, TabularDataset
+from .data import FeatureSchema, TabularDataset, refine_key
 from .errors import ValidationError
 from .predictor import one_hot, predict_probs
-from .tabulate import LABEL, cell_index, distinct_first
+from .tabulate import LABEL, cell_index
 
 CLIP_HI = 100.0  # cap on a classifier-ratio weight
 
@@ -39,13 +39,6 @@ def gaussian_kernel(x: np.ndarray, centers: np.ndarray, gamma: float) -> np.ndar
     k = sq_distances(x, centers)
     k *= -gamma
     return np.exp(k, out=k)
-
-
-def distinct_one_hot(schema: FeatureSchema, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The one-hot encoding of each distinct row of ``rows``, and each row's
-    position among the distinct rows."""
-    first, inverse = distinct_first(rows.T)
-    return one_hot(schema, rows[first]), inverse
 
 
 class WeightFunction:
@@ -133,12 +126,14 @@ class BasisWeight(WeightFunction):
         object.__setattr__(self, "coefficients", a)
 
     def weights_for(self, ds: TabularDataset) -> np.ndarray:
-        labels = _require_labels(ds)
-        w = np.empty(ds.n)
+        """Evaluated once per distinct (row, label) pair."""
+        first, inverse = refine_key(ds, _require_labels(ds))
+        labels = ds.labels[first]
+        w = np.empty(first.size)
         for y in np.unique(labels):
             mask = labels == y
-            w[mask] = self.basis.design(ds.rows[mask]) @ self.coefficients[:, int(y) - 1]
-        return w
+            w[mask] = self.basis.design(ds.rows[first[mask]]) @ self.coefficients[:, int(y) - 1]
+        return w[inverse]
 
 
 @dataclass(frozen=True)
@@ -151,7 +146,9 @@ class KernelWeight(WeightFunction):
     schema: FeatureSchema  # rows are compared in its one-hot encoding
 
     def weights_for(self, ds: TabularDataset) -> np.ndarray:
-        x, inverse = distinct_one_hot(self.schema, ds.rows)
+        """Evaluated once per distinct row."""
+        first, inverse = ds.row_key
+        x = one_hot(self.schema, ds.rows[first])
         return (gaussian_kernel(x, self.centers, self.gamma) @ self.alphas)[inverse]
 
 

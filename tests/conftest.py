@@ -56,12 +56,9 @@ def far_apart_pair():
 
 
 @pytest.fixture(scope="session")
-def benchmark_pair(tmp_path_factory):
-    """``make(workload, seed)``: the benchmark's estimate input of that name
-    and seed as a scored (source, target) pair, read, fitted and predicted
-    as ``estimate`` does without external predictions."""
-    from shiftscope.data import load_dataset, load_schema
-
+def benchmark_job(tmp_path_factory):
+    """``make(workload, seed)``: the benchmark's workload of that name, its
+    inputs written for that seed in a fresh directory."""
     root = str(Path(__file__).resolve().parent.parent)
     if root not in sys.path:  # perfbench.workloads writes the inputs
         sys.path.insert(0, root)
@@ -70,6 +67,20 @@ def benchmark_pair(tmp_path_factory):
     def make(workload, seed):
         job = WORKLOADS[workload]()
         job.prepare(tmp_path_factory.mktemp(workload), seed)
+        return job
+
+    return make
+
+
+@pytest.fixture(scope="session")
+def benchmark_pair(benchmark_job):
+    """``make(workload, seed)``: the benchmark's estimate input of that name
+    and seed as a scored (source, target) pair, read, fitted and predicted
+    as ``estimate`` does without external predictions."""
+    from shiftscope.data import load_dataset, load_schema
+
+    def make(workload, seed):
+        job = benchmark_job(workload, seed)
         schema = load_schema(job.inp.schema_path)
         source = load_dataset(job.inp.source_path, schema)
         model = train_logistic(source)

@@ -1,9 +1,10 @@
-"""Equivalence tests for the fits that run on distinct rows with counts.
+"""Equivalence tests for the fits and evaluations that run on distinct rows.
 
 ``train_logistic`` (and dlu through it), sees-c and kliep read their data
-only through its distinct rows, each weighted by its count. Every
-count-weighted quantity here is checked against a per-row reference written
-in this file, on data where rows repeat.
+only through its distinct rows, each weighted by its count, and the
+classifier's probabilities and every weight are evaluated once per distinct
+row. Every such quantity here is checked against a per-row reference
+written in this file, on data where rows repeat.
 """
 
 import json
@@ -30,29 +31,36 @@ from shiftscope.predictor import (
     ARMIJO,
     GRAD_TOL,
     ROUNDING,
+    LogisticModel,
     design_matrix,
     load_predictions,
     logistic_loss_grad,
     one_hot,
+    predict,
+    predict_probs,
     train_logistic,
 )
 from shiftscope.sees_c import SeesCConfig, default_basis, run_sees_c, sees_c_objective
 from shiftscope.tabulate import distinct_first
+from shiftscope.weights import (CLIP_HI, BasisWeight, KernelWeight, ModelRatioWeight,
+                                gaussian_kernel)
 
 CONTINUOUS_VALUES = (-1.5, 0.25, 2.0)  # few values, so continuous rows repeat too
+SIGNED_ZEROS = (0.0, -0.0, 0.25)  # equal rows that differ in a sign bit
 PROBS = ((0.5, 0.5), (0.9, 0.1), (0.2, 0.8))
 
 
 @st.composite
-def datasets(draw, n_labels=st.integers(2, 3)):
-    """Small labeled datasets of discrete and (repeating) continuous columns."""
+def datasets(draw, n_labels=st.integers(2, 3), values=CONTINUOUS_VALUES):
+    """Small labeled datasets of discrete and (repeating) continuous columns,
+    the continuous ones drawn from ``values``."""
     L = draw(n_labels)
     cards = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
     continuous = draw(st.integers(0, 1))
     n = draw(st.integers(L, 40))
     cols = [np.array(draw(st.lists(st.integers(1, c), min_size=n, max_size=n)), dtype=float)
             for c in cards]
-    cols += [np.array(draw(st.lists(st.sampled_from(CONTINUOUS_VALUES), min_size=n,
+    cols += [np.array(draw(st.lists(st.sampled_from(values), min_size=n,
                                     max_size=n)))
              for _ in range(continuous)]
     schema = FeatureSchema(
@@ -168,7 +176,7 @@ class PerRowProblem(sees_c._Problem):
     def value_grad(self, a, cfg):
         value, grad = per_row_sees_c(a.reshape(-1, self.all_probs.shape[1]), self.all_phi,
                                      self.all_probs, self.basis_groups, cfg)
-        return value, grad.ravel()
+        return value, grad.ravel(), self._inner(a)
 
 
 def with_probs(ds: TabularDataset, seed: int) -> TabularDataset:
@@ -263,6 +271,65 @@ def test_sees_c_objective_equals_per_row(ds, seed, eta):
                                          scored.pred_probs, basis.groups(), cfg)
     assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(datasets(values=SIGNED_ZEROS), st.integers(0, 2**32 - 1), st.booleans())
+def test_distinct_row_evaluations_equal_per_row(ds, seed, external):
+    """The classifier, every weight and sees-c's source mean, evaluated once
+    per distinct row (``-0.0`` and ``0.0`` alike), against row-by-row
+    references. External probabilities that differ between equal rows take
+    the refining path: sees-c's target then has one entry per distinct
+    (row, probabilities) pair."""
+    rng = np.random.default_rng(seed)
+    L = ds.schema.n_labels
+    rows = [ds.rows[i:i + 1] for i in range(ds.n)]
+    x = design_matrix(ds.schema, ds.rows)
+    model = LogisticModel(ds.schema, rng.standard_normal((x.shape[1], L)), True, 0)
+
+    def per_row_probs(coef):
+        z = x @ coef
+        e = [np.exp(zi - zi.max()) for zi in z]
+        return np.array([ei / ei.sum() for ei in e])
+
+    probs = per_row_probs(model.coef)
+    np.testing.assert_allclose(predict_probs(model, ds), probs, rtol=1e-12, atol=1e-15)
+    scored = predict(model, ds)
+    assert np.array_equal(scored.predictions, probs.argmax(axis=1) + 1)
+
+    basis = default_basis(ds.schema, reference=ds)
+    a = rng.uniform(0.0, 2.0, size=(basis.size, L))
+    per_row = [float(basis.design(r)[0] @ a[:, y - 1]) for r, y in zip(rows, ds.labels)]
+    np.testing.assert_allclose(BasisWeight(a, basis).weights_for(ds), per_row,
+                               rtol=1e-12, atol=1e-15)
+
+    centers = one_hot(ds.schema, ds.rows[rng.integers(0, ds.n, 3)])
+    kernel = KernelWeight(centers, rng.uniform(0.0, 1.0, 3), 0.7, ds.schema)
+    per_row = [float(gaussian_kernel(one_hot(ds.schema, r), centers, 0.7)[0] @ kernel.alphas)
+               for r in rows]
+    np.testing.assert_allclose(kernel.weights_for(ds), per_row, rtol=1e-12, atol=1e-15)
+
+    domain = LogisticModel(ds.schema, rng.standard_normal((x.shape[1], 2)), True, 0)
+    rho = per_row_probs(domain.coef)[:, 1]
+    per_row = 0.5 * np.clip(rho / np.maximum(1.0 - rho, 1e-12) * 1.5, 0.0, CLIP_HI)
+    np.testing.assert_allclose(ModelRatioWeight(domain, 1.5, 0.5).weights_for(ds), per_row,
+                               rtol=1e-12, atol=1e-15)
+
+    target = scored
+    if external:  # picked from three rows, so equal rows carry different probabilities
+        pool = rng.dirichlet(np.ones(L), 3)
+        target = ds.with_outputs(predictions=np.ones(ds.n, dtype=int),
+                                 pred_probs=pool[rng.integers(0, 3, ds.n)])
+    problem = sees_c._sees_c_problem(scored, target, basis)
+    c = sum(np.outer(basis.design(r)[0], np.arange(1, L + 1) == y)
+            for r, y in zip(rows, ds.labels)) / ds.n
+    np.testing.assert_allclose(problem.constraint, c.ravel(), rtol=1e-12, atol=1e-15)
+    pairs = {(*(r[0] + 0.0), *p) for r, p in zip(rows, target.pred_probs)}
+    assert problem.counts.size == len(pairs)
+    value, _, _ = problem.value_grad(a.ravel(), SeesCConfig(eta=0.0))
+    ref_value, _ = per_row_sees_c(a, basis.design(ds.rows), target.pred_probs, (),
+                                  SeesCConfig(eta=0.0))
+    assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
 
 
 def kliep_pair():

@@ -181,7 +181,7 @@ def csv_files(draw):
             recs[i] = recs[i] + ["1"] if draw(st.booleans()) else recs[i][:-1]
             continue
         if kind == "bad_label":
-            if schema.label_name in header:
+            if schema.label_name in header and header.index(schema.label_name) < len(recs[i]):
                 recs[i][header.index(schema.label_name)] = draw(st.sampled_from(("0", "no", "")))
             continue
         j = draw(st.integers(0, schema.d - 1))

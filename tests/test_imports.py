@@ -4,7 +4,8 @@ The package imports only the standard library, numpy and itself at run
 time, matching ``dependencies`` in pyproject.toml; scipy is for tests only.
 Rows and table keys become dense cells in ``tabulate`` alone, under its one
 cell-space bound, and rows are keyed by sorting in ``data.distinct_first``
-alone."""
+alone. A dataset's raw rows are keyed in ``data`` alone, by its one cached
+``row_key``, which every other module refines."""
 
 import ast
 import sys
@@ -57,3 +58,22 @@ def test_only_tabulate_ravels_cells():
 
 def test_only_data_keys_rows_by_sorting():
     assert_only_referenced_in("lexsort", "data.py")
+
+
+def keyed_raw_rows(tree: ast.AST):
+    """Lines of ``distinct_first`` calls that read some ``<x>.rows.T``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "distinct_first":
+            for arg in ast.walk(node):
+                if (isinstance(arg, ast.Attribute) and arg.attr == "T"
+                        and isinstance(arg.value, ast.Attribute) and arg.value.attr == "rows"):
+                    yield node.lineno
+
+
+def test_only_data_keys_a_datasets_raw_rows():
+    found = {path.name: list(keyed_raw_rows(ast.parse(path.read_text(encoding="utf-8"))))
+             for path in sorted(SRC.glob("*.py"))}
+    outside = [f"{name}:{line}" for name, lines in found.items() if name != "data.py"
+               for line in lines]
+    assert not outside, f"raw rows keyed outside data.py, refine row_key instead: {outside}"
+    assert found["data.py"], "data.py no longer keys raw rows; update this guard"

@@ -1,11 +1,17 @@
 """``distinct_first`` against the single-lexsort keyer it replaced, kept
 here as the reference: both returns must be equal exactly, on columns that
-fold into the integer code, columns that do not, and mixes of the two."""
+fold into the integer code, columns that do not, and mixes of the two. And
+how often one ``estimate`` keys a dataset's raw rows."""
+
+import sys
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftscope import data
+from shiftscope.cli import main
+from shiftscope.data import load_dataset, load_schema
 from shiftscope.tabulate import distinct_first
 
 I64 = np.iinfo(np.int64)
@@ -100,3 +106,30 @@ def test_small_columns_past_the_code_bound_go_to_the_sort():
     columns = [rng.integers(0, 3, 50) for _ in range(12)]  # 3**12 codes against 4n = 200
     assert_same(columns)
     assert_same([*columns, rng.random(50)])
+
+
+def test_an_estimate_keys_each_side_once(benchmark_job, monkeypatch):
+    """One ``estimate --method all`` on the benchmark's continuous input keys
+    the raw feature rows of the source once and of the target once: every
+    other consumer refines those keys."""
+    job = benchmark_job("estimate-continuous", 1)
+    schema = load_schema(job.inp.schema_path)
+    sides = {name: load_dataset(path, schema).rows for name, path in
+             (("source", job.inp.source_path), ("target", job.inp.target_path))}
+    keyed = {name: 0 for name in sides}
+    real = data.distinct_first
+
+    def counted(columns):
+        columns = list(columns)
+        for name, rows in sides.items():
+            if (len(columns) >= rows.shape[1]
+                    and all(np.shape(col) == rows[:, j].shape and np.array_equal(col, rows[:, j])
+                            for j, col in enumerate(columns[:rows.shape[1]]))):
+                keyed[name] += 1
+        return real(columns)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("shiftscope") and getattr(mod, "distinct_first", None) is real:
+            monkeypatch.setattr(mod, "distinct_first", counted)
+    assert main(job.argv) == 0
+    assert keyed == {"source": 1, "target": 1}

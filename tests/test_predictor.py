@@ -6,6 +6,7 @@ from shiftscope.errors import MalformedRow, RowCountMismatch, SchemaMismatch
 from shiftscope.predictor import (
     GRAD_TOL,
     LogisticModel,
+    _softmax,
     design_matrix,
     load_predictions,
     logistic_loss_grad,
@@ -153,3 +154,32 @@ class TestLoadPredictions:
         self._write(path, ["pred,p_1,p_2", "1,-0.1,1.1"])
         with pytest.raises(MalformedRow):
             load_predictions(small_base, path)
+
+
+def _row_wise_softmax(z):
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _logits(L):
+    rng = np.random.default_rng(L)
+    return rng.standard_normal((3000, L)) * rng.uniform(0.1, 30.0, (3000, 1))
+
+
+@pytest.mark.parametrize("L", range(2, 8))
+def test_softmax_has_the_bits_of_the_row_wise_formula(L):
+    """Below 8 columns the column-loop softmax sums in numpy's row order, so
+    it matches the row-wise reductions it replaced bit for bit."""
+    z = _logits(L)
+    assert np.array_equal(_softmax(z), _row_wise_softmax(z))
+
+
+@pytest.mark.parametrize("L", range(8, 13))
+def test_wide_softmax_differs_from_the_row_wise_formula_in_rounding_only(L):
+    """From 8 columns numpy sums a row pairwise, so the column loop may differ
+    in the last bits: by no more than the rounding of a sum of L terms."""
+    z = _logits(L)
+    got = _softmax(z)
+    ulp = np.finfo(float).eps
+    np.testing.assert_allclose(got, _row_wise_softmax(z), rtol=L * ulp, atol=0)
+    np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=L * ulp)
